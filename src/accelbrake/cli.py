@@ -16,8 +16,8 @@ from concurrent.futures import ProcessPoolExecutor
 
 from .config import ConfigError, ScenarioConfig, load_scenario
 from .engine import Simulation
-from .metrics import (MetricsLog, delay_percentile, flow_throughputs, jain_index,
-                      steady_window, utilization, write_outputs)
+from .metrics import (MetricsLog, flow_throughputs, hop_delays_us, jain_index,
+                      nearest_rank, steady_window, utilization, write_outputs)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -96,16 +96,18 @@ def _describe(cfg: ScenarioConfig, path: str) -> str:
 
 
 def _summarize(log: MetricsLog, topo) -> str:
+    # A hop with no delivery opportunities, or that delivered nothing, and
+    # a run too short for a steady window all report "n/a" rather than fail.
     start, end = steady_window(log)
-    rates = flow_throughputs(log, start, end)
+    rates = flow_throughputs(log, start, end) if end > start else {}
     long_ids = [f.flow_id for f in topo.flows]
     lines = [f"seed {log.seed}: {len(log.deliveries)} delivered, {len(log.drops)} dropped"]
-    for hop_id in log.hop_stats:
-        util = utilization(log, hop_id)
-        p95 = delay_percentile(log, hop_id, 0.95)
-        drops = log.hop_stats[hop_id].drops
-        lines.append(f"  hop {hop_id}: utilization {util:.3f}, "
-                     f"p95 queue delay {p95 / 1000:.2f}ms, drops {drops}")
+    for hop_id, stats in log.hop_stats.items():
+        util = f"{utilization(log, hop_id):.3f}" if stats.opportunity_bytes > 0 else "n/a"
+        delays = hop_delays_us(log, hop_id)
+        p95 = f"{nearest_rank(delays, 0.95) / 1000:.2f}ms" if delays else "n/a"
+        lines.append(f"  hop {hop_id}: utilization {util}, "
+                     f"p95 queue delay {p95}, drops {stats.drops}")
     for fid in long_ids:
         lines.append(f"  flow {fid}: {rates.get(fid, 0.0) / 1e6:.3f} Mbit/s steady")
     if len(long_ids) > 1:

@@ -42,7 +42,6 @@ class HopSpec:
     ecn_threshold_pkts: Optional[int] = None
     fixed_fraction: Optional[float] = None
     delay_to_next_us: SimTime = 0
-    capacity_view: Optional[object] = None  # override the oracle (e.g. replayed estimates)
     initial_weight: float = 1.0
 
 
@@ -96,20 +95,25 @@ class Topology:
                 raise ValueError(f"duplicate flow id {flow.flow_id!r}")
             ids.add(flow.flow_id)
 
-    def path_rtt_us(self, flow: FlowSpec) -> SimTime:
+    def path_rtt_us(self, flow) -> SimTime:
+        """Base round trip of a FlowSpec, or of the ShortFlowLoad's transfers."""
         inter = sum(h.delay_to_next_us for h in self.hops)
         return flow.fwd_delay_us + inter + flow.rev_delay_us
 
 
 @dataclass
 class _FlowRuntime:
+    """Everything the engine keeps for one flow: both ends and their timers."""
+
     sender: FlowSender
+    echo: EchoState
     fwd_delay_us: SimTime
     rev_delay_us: SimTime
     rto_us: SimTime
     is_short: bool = False
     rto_armed: bool = False
     prev_sample_bytes: int = 0
+    delack_epoch: int = 0
 
 
 class Simulation:
@@ -134,14 +138,15 @@ class Simulation:
         self.log = MetricsLog(duration_us=self.duration_us, seed=seed)
         for hop in topology.hops:
             if hop.kind == "abc":
-                view = hop.capacity_view or OracleRateView(hop.link, hop.oracle_window_us)
-                router = AbcRouter(hop.hop_id, hop.abc_params, view,
+                router = AbcRouter(hop.hop_id, hop.abc_params,
+                                   OracleRateView(hop.link, hop.oracle_window_us),
                                    buffer_pkts=hop.buffer_pkts,
                                    fixed_fraction=hop.fixed_fraction,
                                    initial_weight=hop.initial_weight,
                                    log_rows=log_router_rows)
-                router.weight_log = [(0, router.weight_abc)]
-                self._push(hop.abc_params.weight_interval_us, ("weights", len(self.routers)))
+                if log_router_rows:
+                    self.log.router_samples[hop.hop_id] = router.rows
+                self._push(hop.abc_params.weight_interval_us, self._on_weights, (router,))
             else:
                 router = DroptailRouter(hop.hop_id, hop.buffer_pkts, hop.ecn_threshold_pkts)
             self.routers.append(router)
@@ -150,27 +155,22 @@ class Simulation:
             self.log.hop_stats[hop.hop_id] = HopStats()
 
         self.flows: dict[str, _FlowRuntime] = {}
-        self.echo: dict[str, EchoState] = {}
-        self._delack_epoch: dict[str, int] = {}
         for spec in topology.flows:
-            sender = self._make_sender(spec)
-            rtt = topology.path_rtt_us(spec)
-            self.flows[spec.flow_id] = _FlowRuntime(
-                sender, spec.fwd_delay_us, spec.rev_delay_us, rto_us=self._rto_for(rtt))
-            self._push(spec.start_us, ("start", spec.flow_id))
+            runtime = self._add_flow(spec.flow_id, spec)
+            self._push(spec.start_us, self._on_start, (runtime,))
             if spec.stop_us is not None:
-                self._push(spec.stop_us, ("stop", spec.flow_id))
+                self._push(spec.stop_us, self._on_stop, (runtime,))
 
         self._short_count = 0
         if topology.shorts is not None and topology.shorts.load_bps > 0:
             arrivals = short_flow_schedule(topology.shorts.load_bps, topology.shorts.flow_bytes,
                                            self.duration_us, self._rng)
             for t in arrivals:
-                self._push(t, ("short",))
+                self._push(t, self._spawn_short, ())
 
         self.flow_sample_interval_us = int(flow_sample_interval_us)
         if self.flow_sample_interval_us > 0:
-            self._push(self.flow_sample_interval_us, ("sample",))
+            self._push(self.flow_sample_interval_us, self._on_sample, ())
 
         self._sent = 0
         self._delivered = 0
@@ -178,70 +178,54 @@ class Simulation:
 
     # -- setup helpers -------------------------------------------------------
 
-    def _make_sender(self, spec: FlowSpec) -> FlowSender:
+    def _add_flow(self, flow_id: str, spec) -> _FlowRuntime:
+        """Build a flow's sender and receiver; ``spec`` is a FlowSpec or the ShortFlowLoad."""
         rtt = self.topology.path_rtt_us(spec)
-        if spec.scheme == "abc":
-            return AbcSender(spec.flow_id, spec.initial_window, rtt,
-                             additive_increase=spec.additive_increase,
-                             bytes_budget=spec.bytes_budget)
-        return CubicSender(spec.flow_id, spec.initial_window, rtt,
-                           bytes_budget=spec.bytes_budget)
+        is_short = isinstance(spec, ShortFlowLoad)
+        if is_short:
+            sender = CubicSender(flow_id, spec.initial_window, rtt, bytes_budget=spec.flow_bytes)
+        elif spec.scheme == "abc":
+            sender = AbcSender(flow_id, spec.initial_window, rtt,
+                               additive_increase=spec.additive_increase,
+                               bytes_budget=spec.bytes_budget)
+        else:
+            sender = CubicSender(flow_id, spec.initial_window, rtt,
+                                 bytes_budget=spec.bytes_budget)
+        # The RTO is a liveness guard only: it fires when an entire window
+        # (data or ACKs) vanished, e.g. a full tail-drop burst.  Generous on
+        # purpose.
+        runtime = _FlowRuntime(sender, EchoState(flow_id, self.receiver_coalesce),
+                               spec.fwd_delay_us, spec.rev_delay_us,
+                               rto_us=max(4 * rtt, 500_000), is_short=is_short)
+        self.flows[flow_id] = runtime
+        return runtime
 
-    @staticmethod
-    def _rto_for(rtt_us: SimTime) -> SimTime:
-        # Liveness guard only: fires when an entire window (data or ACKs)
-        # vanished, e.g. a full tail-drop burst.  Generous on purpose.
-        return max(4 * rtt_us, 500_000)
-
-    def _push(self, time: SimTime, event: tuple) -> None:
-        heapq.heappush(self._heap, (time, self._counter, event))
+    def _push(self, time: SimTime, handler, args: tuple) -> None:
+        heapq.heappush(self._heap, (time, self._counter, handler, args))
         self._counter += 1
 
     # -- main loop ------------------------------------------------------------
 
     def run(self) -> MetricsLog:
-        while self._heap:
-            time, _, event = self._heap[0]
+        heap = self._heap
+        while heap:
+            time, _, handler, args = heap[0]
             if time > self.duration_us:
                 break
-            heapq.heappop(self._heap)
+            heapq.heappop(heap)
             self.now = time
-            self._dispatch(event)
+            handler(*args)
         self.now = self.duration_us
-        for hop, router in zip(self.topology.hops, self.routers):
+        for hop in self.topology.hops:
             stats = self.log.hop_stats[hop.hop_id]
             stats.opportunity_bytes = hop.link.opportunity_bytes(0, self.duration_us)
-            if getattr(router, "rows", None):
-                self.log.router_samples[hop.hop_id] = router.rows
         return self.log
 
-    def _dispatch(self, event: tuple) -> None:
-        kind = event[0]
-        if kind == "arrive":
-            self._on_arrive(event[1], event[2])
-        elif kind == "dequeue":
-            self._on_dequeue(event[1])
-        elif kind == "deliver":
-            self._on_deliver(event[1])
-        elif kind == "ack":
-            self._on_ack(event[1])
-        elif kind == "delack":
-            self._on_delack(event[1], event[2])
-        elif kind == "start":
-            runtime = self.flows[event[1]]
-            self._dispatch_sends(runtime, runtime.sender.start(self.now))
-        elif kind == "stop":
-            self.flows[event[1]].sender.stopped = True
-        elif kind == "weights":
-            self._on_weights(event[1])
-        elif kind == "rto":
-            self._on_rto(event[1])
-        elif kind == "short":
-            self._spawn_short()
-        elif kind == "sample":
-            self._on_sample()
-        else:  # pragma: no cover - defensive
-            raise RuntimeError(f"unknown event kind {kind!r}")
+    def _on_start(self, runtime: _FlowRuntime) -> None:
+        self._dispatch_sends(runtime, runtime.sender.start(self.now))
+
+    def _on_stop(self, runtime: _FlowRuntime) -> None:
+        runtime.sender.stopped = True
 
     # -- packet path ----------------------------------------------------------
 
@@ -265,7 +249,7 @@ class Simulation:
         if t is None:
             return
         self._busy[hop_idx] = True
-        self._push(t, ("dequeue", hop_idx))
+        self._push(t, self._on_dequeue, (hop_idx,))
 
     def _on_dequeue(self, hop_idx: int) -> None:
         router = self.routers[hop_idx]
@@ -281,90 +265,71 @@ class Simulation:
         pkt.hop_trace.append((hop.hop_id, enqueued_at, self.now))
         arrival = self.now + hop.delay_to_next_us
         if hop_idx + 1 < len(self.routers):
-            self._push(arrival, ("arrive", hop_idx + 1, pkt))
+            self._push(arrival, self._on_arrive, (hop_idx + 1, pkt))
         else:
-            self._push(arrival, ("deliver", pkt))
+            self._push(arrival, self._on_deliver, (pkt,))
         t = hop.link.next_delivery(self.now, after=True)
         if t is None:
             self._busy[hop_idx] = False
         else:
-            self._push(t, ("dequeue", hop_idx))
+            self._push(t, self._on_dequeue, (hop_idx,))
 
     def _on_deliver(self, pkt: Packet) -> None:
         self._delivered += 1
         self.log.record_delivery(DeliveryRecord(
             pkt.flow_id, pkt.seq, pkt.size_bytes, pkt.send_time, self.now,
             tuple(pkt.hop_trace)))
-        echo = self.echo.get(pkt.flow_id)
-        if echo is None:
-            echo = self.echo[pkt.flow_id] = EchoState(pkt.flow_id, self.receiver_coalesce)
-            self._delack_epoch[pkt.flow_id] = 0
-        acks = echo.on_packet(pkt, self.now)
         runtime = self.flows[pkt.flow_id]
+        acks = runtime.echo.on_packet(pkt, self.now)
         if acks:
-            self._delack_epoch[pkt.flow_id] += 1
+            runtime.delack_epoch += 1
             for ack in acks:
-                self._push(self.now + runtime.rev_delay_us, ("ack", ack))
-        elif echo.pending_count > 0:
-            self._push(self.now + DELACK_TIMEOUT_US,
-                       ("delack", pkt.flow_id, self._delack_epoch[pkt.flow_id]))
+                self._push(self.now + runtime.rev_delay_us, self._on_ack, (runtime, ack))
+        elif runtime.echo.pending_count > 0:
+            self._push(self.now + DELACK_TIMEOUT_US, self._on_delack,
+                       (runtime, runtime.delack_epoch))
 
-    def _on_delack(self, flow_id: str, epoch: int) -> None:
-        if self._delack_epoch.get(flow_id) != epoch:
+    def _on_delack(self, runtime: _FlowRuntime, epoch: int) -> None:
+        if runtime.delack_epoch != epoch:
             return
-        echo = self.echo[flow_id]
-        ack = echo.flush(self.now)
+        ack = runtime.echo.flush(self.now)
         if ack is not None:
-            self._delack_epoch[flow_id] += 1
-            self._push(self.now + self.flows[flow_id].rev_delay_us, ("ack", ack))
+            runtime.delack_epoch += 1
+            self._push(self.now + runtime.rev_delay_us, self._on_ack, (runtime, ack))
 
-    def _on_ack(self, ack) -> None:
-        runtime = self.flows.get(ack.flow_id)
-        if runtime is None:
-            return
+    def _on_ack(self, runtime: _FlowRuntime, ack) -> None:
         self._dispatch_sends(runtime, runtime.sender.on_ack(ack, self.now))
 
     def _dispatch_sends(self, runtime: _FlowRuntime, pkts: list[Packet]) -> None:
         for pkt in pkts:
             self._sent += 1
-            self._push(self.now + runtime.fwd_delay_us, ("arrive", 0, pkt))
+            self._push(self.now + runtime.fwd_delay_us, self._on_arrive, (0, pkt))
         if runtime.sender.unacked and not runtime.rto_armed:
             runtime.rto_armed = True
-            self._push(self.now + runtime.rto_us, ("rto", runtime.sender.flow_id))
+            self._push(self.now + runtime.rto_us, self._on_rto, (runtime,))
 
-    def _on_rto(self, flow_id: str) -> None:
-        runtime = self.flows[flow_id]
+    def _on_rto(self, runtime: _FlowRuntime) -> None:
         sender = runtime.sender
         if not sender.unacked:
             runtime.rto_armed = False
             return
         deadline = sender.last_progress + runtime.rto_us
         if deadline > self.now:
-            self._push(deadline, ("rto", flow_id))
+            self._push(deadline, self._on_rto, (runtime,))
             return
         runtime.rto_armed = False
         self._dispatch_sends(runtime, sender.on_timeout(self.now))
 
     # -- housekeeping ----------------------------------------------------------
 
-    def _on_weights(self, router_idx: int) -> None:
-        router = self.routers[router_idx]
+    def _on_weights(self, router: AbcRouter) -> None:
         router.update_weights(self.now)
-        router.weight_log.append((self.now, router.weight_abc))
-        self._push(self.now + router.params.weight_interval_us, ("weights", router_idx))
+        self._push(self.now + router.params.weight_interval_us, self._on_weights, (router,))
 
     def _spawn_short(self) -> None:
-        shorts = self.topology.shorts
         self._short_count += 1
-        flow_id = f"short{self._short_count:06d}"
-        rtt = shorts.fwd_delay_us + sum(h.delay_to_next_us for h in self.topology.hops) \
-            + shorts.rev_delay_us
-        sender = CubicSender(flow_id, initial_window=shorts.initial_window,
-                             base_rtt_us=rtt, bytes_budget=shorts.flow_bytes)
-        runtime = _FlowRuntime(sender, shorts.fwd_delay_us, shorts.rev_delay_us,
-                               rto_us=self._rto_for(rtt), is_short=True)
-        self.flows[flow_id] = runtime
-        self._dispatch_sends(runtime, sender.start(self.now))
+        runtime = self._add_flow(f"short{self._short_count:06d}", self.topology.shorts)
+        self._dispatch_sends(runtime, runtime.sender.start(self.now))
 
     def _on_sample(self) -> None:
         interval = self.flow_sample_interval_us
@@ -377,14 +342,15 @@ class Simulation:
             w_abc = round(sender.w_abc, 4) if isinstance(sender, AbcSender) else ""
             self.log.flow_samples.setdefault(flow_id, []).append(
                 (self.now, w_abc, round(sender.w_cubic, 4), sender.inflight, round(rate, 1)))
-        self._push(self.now + interval, ("sample",))
+        self._push(self.now + interval, self._on_sample, ())
 
     # -- diagnostics ------------------------------------------------------------
 
     def census(self) -> dict:
         """Packet conservation snapshot: sent = delivered + dropped + queued + in flight."""
         queued = sum(r.backlog() for r in self.routers)
-        in_flight = sum(1 for _, _, ev in self._heap if ev[0] in ("arrive", "deliver"))
+        moving = (self._on_arrive, self._on_deliver)
+        in_flight = sum(1 for _, _, handler, _ in self._heap if handler in moving)
         return {
             "sent": self._sent,
             "delivered": self._delivered,

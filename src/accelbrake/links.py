@@ -218,17 +218,3 @@ class OracleRateView:
             return self.link.rate_at(0)
         return self.link.opportunity_bytes(now - width, now) * 8 * US_PER_S / width
 
-
-class ScaledRateView:
-    """A capacity view multiplied by a mutable share in [0, 1].
-
-    Used by a dual-queue router to aim the accel/brake control loop at the
-    slice of the link its queue is entitled to rather than the whole link.
-    """
-
-    def __init__(self, base, share: float = 1.0):
-        self.base = base
-        self.share = share
-
-    def capacity(self, now: SimTime) -> float:
-        return self.base.capacity(now) * self.share

@@ -87,16 +87,21 @@ def hop_delays_us(log: MetricsLog, hop_id: str,
     return out
 
 
+def nearest_rank(values: list, p: float):
+    """Nearest-rank p-quantile of a non-empty list, which it sorts in place."""
+    if not 0 < p <= 1:
+        raise ValueError(f"percentile must be in (0, 1], got {p}")
+    values.sort()
+    return values[math.ceil(p * len(values)) - 1]
+
+
 def delay_percentile(log: MetricsLog, hop_id: str, p: float,
                      start: SimTime = 0, end: Optional[SimTime] = None) -> int:
     """Nearest-rank p-quantile of queuing delay at a hop, in microseconds."""
-    if not 0 < p <= 1:
-        raise ValueError(f"percentile must be in (0, 1], got {p}")
     delays = hop_delays_us(log, hop_id, start, end)
     if not delays:
         raise ValueError(f"no delivered packets crossed hop {hop_id!r} in the window")
-    delays.sort()
-    return delays[math.ceil(p * len(delays)) - 1]
+    return nearest_rank(delays, p)
 
 
 def jain_index(values: Sequence[float]) -> float:
@@ -175,11 +180,8 @@ def _write_summary(log: MetricsLog, path: str, extras: dict) -> None:
             lines.append(f"{prefix}.utilization={utilization(log, hop_id):.6f}")
         delays = hop_delays_us(log, hop_id)
         if delays:
-            delays.sort()
-            p50 = delays[math.ceil(0.5 * len(delays)) - 1]
-            p95 = delays[math.ceil(0.95 * len(delays)) - 1]
-            lines.append(f"{prefix}.delay_p50_ms={p50 / 1000:.3f}")
-            lines.append(f"{prefix}.delay_p95_ms={p95 / 1000:.3f}")
+            lines.append(f"{prefix}.delay_p50_ms={nearest_rank(delays, 0.5) / 1000:.3f}")
+            lines.append(f"{prefix}.delay_p95_ms={nearest_rank(delays, 0.95) / 1000:.3f}")
     if t1 > t0:
         for flow_id, bps in sorted(flow_throughputs(log, t0, t1).items()):
             lines.append(f"flow.{flow_id}.steady_throughput_mbps={bps / 1e6:.4f}")

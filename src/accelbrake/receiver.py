@@ -33,7 +33,6 @@ class EchoState:
         self.highest_seq = -1
         self.ece_pending = False
         self.delivered_bytes = 0
-        self.acked_bytes = 0
 
     def on_packet(self, pkt: Packet, now: SimTime) -> list[Ack]:
         """Absorb one delivered packet, returning any ACKs to emit now."""
@@ -75,7 +74,6 @@ class EchoState:
             ece=self.ece_pending,
             recv_time=now,
         )
-        self.acked_bytes += self.pending_bytes
         self.pending_count = 0
         self.pending_bytes = 0
         self.ece_pending = False

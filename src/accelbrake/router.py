@@ -283,6 +283,9 @@ class AbcRouter:
         self.rate_window = RateWindow(params.rate_window_us)
         self.log_rows = log_rows
         self.rows: list[tuple] = []
+        # (time, ABC queue weight): the initial weight, then one entry per
+        # update_weights call.
+        self.weight_log: list[tuple] = [(0, initial_weight)]
         self._sketches = {t: SpaceSavingSketch(params.sketch_size) for t in (ABC_QUEUE, LEGACY_QUEUE)}
         self._epoch_bytes = {ABC_QUEUE: 0, LEGACY_QUEUE: 0}
         self._last_weight_update: SimTime = 0
@@ -345,11 +348,16 @@ class AbcRouter:
         remainder of each queue's bytes is treated as one aggregate of
         short flows that wants exactly what it gets.  A max-min allocation
         of the link capacity over those demands gives each queue's share.
+        Every call appends ``(now, weight)`` to ``weight_log``.
         """
         interval = now - self._last_weight_update
         self._last_weight_update = now
-        if interval <= 0:
-            return self.queue.weight_abc
+        if interval > 0:
+            self._reallocate(now, interval)
+        self.weight_log.append((now, self.queue.weight_abc))
+        return self.queue.weight_abc
+
+    def _reallocate(self, now: SimTime, interval: SimTime) -> None:
         capacity = self.capacity_view.capacity(now)
         alpha = self.params.demand_smoothing
         hist = self._rate_hist
@@ -400,7 +408,7 @@ class AbcRouter:
         shorts = dict(self._shorts_ewma)
         if capacity <= 0 or (not any(d > 0 for d in demands)
                              and not any(shorts.values())):
-            return self.queue.weight_abc
+            return
         # Short transfers want exactly what they already get, so they are
         # carved out first; the long flows' padded demands then share what
         # remains max-min fairly.
@@ -418,4 +426,3 @@ class AbcRouter:
             # the weights summing to 1 when demand leaves the link
             # underloaded; under contention the two denominators agree.
             self.queue.weight_abc = min(1.0, max(0.0, abc_share / total))
-        return self.queue.weight_abc

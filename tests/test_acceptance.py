@@ -14,6 +14,8 @@ import random
 from collections import Counter, defaultdict
 from fractions import Fraction
 
+import pytest
+
 from accelbrake.core import Ack, EcnCodepoint, Packet
 from accelbrake.engine import FlowSpec, HopSpec, ShortFlowLoad, Simulation, Topology
 from accelbrake.fluid import (FluidParams, fixed_point_rate, integrate,
@@ -26,6 +28,8 @@ from accelbrake.router import (ABC_QUEUE, LEGACY_QUEUE, AbcParams, AbcRouter,
 from accelbrake.sender import AbcSender, lost_ack_drift, steady_state_window
 from accelbrake.wifi import (LinkProfile, OverheadModel, estimate_capacity,
                              generate_mac_trace)
+
+pytestmark = pytest.mark.slow
 
 
 def _report(capsys, label: str, ok: bool, detail: str) -> None:

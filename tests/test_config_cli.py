@@ -179,6 +179,19 @@ def test_cli_run_writes_outputs(quick_scenario, tmp_path, capsys):
     assert (out_dir / "flows" / "f0.csv").exists()
 
 
+@pytest.mark.parametrize("overrides, args, util", [
+    ({"duration_s": 0.002}, [], "0.000"),  # ends before the first packet arrives
+    ({"hops": [{"id": "btl", "link": {"type": "step", "segments": [[0, 0]]}}]}, [], "n/a"),
+    ({}, ["--duration", "0"], "n/a"),  # no steady window either
+])
+def test_cli_run_reports_hop_that_delivered_nothing(tmp_path, capsys, overrides, args, util):
+    path = _write_scenario(tmp_path, _scenario(**overrides))
+    assert main(["run", "--config", path, "--out", str(tmp_path / "out"), *args]) == 0
+    out = capsys.readouterr().out
+    assert f"hop btl: utilization {util}, p95 queue delay n/a, drops 0" in out
+    assert "flow f0: 0.000 Mbit/s steady" in out
+
+
 def test_cli_run_seed_override(quick_scenario, capsys):
     assert main(["run", "--config", quick_scenario, "--seed", "5"]) == 0
     assert "seed 5:" in capsys.readouterr().out

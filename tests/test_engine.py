@@ -1,9 +1,15 @@
 """Event-loop integration: determinism, conservation, lifecycle events."""
 
+import hashlib
+from pathlib import Path
+
 import pytest
 
+from accelbrake.config import load_scenario
 from accelbrake.engine import FlowSpec, HopSpec, ShortFlowLoad, Simulation, Topology
 from accelbrake.links import FixedLink
+
+SCENARIO_DIR = Path(__file__).resolve().parent.parent / "scenarios"
 
 
 def _mixed_topology():
@@ -142,3 +148,40 @@ def test_negative_duration_rejected():
     topo = Topology([HopSpec("h", FixedLink(1e6))], [FlowSpec("f")])
     with pytest.raises(ValueError):
         Simulation(topo, duration_us=-1)
+
+
+# sha256 over (flow, seq, deliver time, hop stamps) plus the drop list for
+# each shipped scenario run for 2 simulated seconds.  A change to any of
+# these means the packet timeline moved.
+GOLDEN_2S = {
+    "bottleneck_switch":
+        "c9db2eb9863a65a71e09d090972e5b1e967147195b5f32ce8c22d7594e3b8108",
+    "coexist_shorts":
+        "256ed158f5acd108d9501420cf334cc4e9473a5d949e71d60eb1ba6fc2498f02",
+    "fairness_four":
+        "044bc055de2825c5f8107f5352e7850647818f9344ae5f610fedd36ab0b47769",
+    "serial_bottlenecks":
+        "e41e9d99e0d4cd04f1a75e7fe914ab8adfafcff2d10d17a8381624687a359e39",
+    "single_trace":
+        "7322a7345b38e98be8a8177937cc008c5e8b655c79009bb54ce7a36884e13789",
+}
+
+
+def _timeline_digest(log):
+    h = hashlib.sha256()
+    for r in log.deliveries:
+        hops = ";".join(f"{hop},{enq},{deq}" for hop, enq, deq in r.hops)
+        h.update(f"{r.flow_id},{r.seq},{r.deliver_time},{hops}\n".encode())
+    for d in log.drops:
+        h.update(f"drop,{d.flow_id},{d.seq},{d.hop_id},{d.time}\n".encode())
+    return h.hexdigest()
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_2S))
+def test_golden_timeline(name):
+    cfg = load_scenario(str(SCENARIO_DIR / f"{name}.yaml"))
+    log = Simulation(cfg.topology, 2_000_000, seed=cfg.seed,
+                     flow_sample_interval_us=cfg.sample_interval_us,
+                     log_router_rows=cfg.log_router_rows,
+                     receiver_coalesce=cfg.receiver_coalesce).run()
+    assert _timeline_digest(log) == GOLDEN_2S[name]

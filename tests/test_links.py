@@ -5,7 +5,6 @@ import pytest
 from accelbrake.links import (
     FixedLink,
     OracleRateView,
-    ScaledRateView,
     StepLink,
     TraceLink,
     load_trace_file,
@@ -146,9 +145,3 @@ class TestRateViews:
     def test_oracle_rejects_bad_window(self):
         with pytest.raises(ValueError):
             OracleRateView(FixedLink(24e6), window_us=0)
-
-    def test_scaled_view_applies_share(self):
-        view = ScaledRateView(OracleRateView(FixedLink(24e6)), share=0.25)
-        assert view.capacity(100_000) == pytest.approx(6e6)
-        view.share = 0.5
-        assert view.capacity(100_000) == pytest.approx(12e6)

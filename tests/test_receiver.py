@@ -97,6 +97,3 @@ def test_byte_accounting_totals():
     for seq in range(5):
         rx.on_packet(_pkt(seq), 100 + seq)
     assert rx.delivered_bytes == 7500
-    assert rx.acked_bytes == 6000  # one packet still pending
-    rx.flush(999)
-    assert rx.acked_bytes == 7500
