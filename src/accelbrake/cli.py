@@ -16,7 +16,7 @@ from concurrent.futures import ProcessPoolExecutor
 
 from .config import ConfigError, ScenarioConfig, load_scenario
 from .engine import Simulation
-from .metrics import (MetricsLog, flow_throughputs, hop_delays_us, jain_index,
+from .metrics import (MetricsLog, delays_by_hop, flow_throughputs, jain_index,
                       nearest_rank, steady_window, utilization, write_outputs)
 
 
@@ -102,9 +102,10 @@ def _summarize(log: MetricsLog, topo) -> str:
     rates = flow_throughputs(log, start, end) if end > start else {}
     long_ids = [f.flow_id for f in topo.flows]
     lines = [f"seed {log.seed}: {len(log.deliveries)} delivered, {len(log.drops)} dropped"]
+    all_delays = delays_by_hop(log)
     for hop_id, stats in log.hop_stats.items():
         util = f"{utilization(log, hop_id):.3f}" if stats.opportunity_bytes > 0 else "n/a"
-        delays = hop_delays_us(log, hop_id)
+        delays = all_delays[hop_id]
         p95 = f"{nearest_rank(delays, 0.95) / 1000:.2f}ms" if delays else "n/a"
         lines.append(f"  hop {hop_id}: utilization {util}, "
                      f"p95 queue delay {p95}, drops {stats.drops}")

@@ -44,6 +44,15 @@ class EcnCodepoint(IntEnum):
         return self in (EcnCodepoint.ACCEL, EcnCodepoint.BRAKE)
 
 
+# The codepoints as module-level names.  Looking a member up on the Enum
+# class costs an attribute lookup each time, so per-packet code imports
+# these and compares by identity: ``ecn is ACCEL or ecn is BRAKE`` is the
+# hot-path form of ``ecn.is_abc``.
+ACCEL = EcnCodepoint.ACCEL
+BRAKE = EcnCodepoint.BRAKE
+ECN_SET = EcnCodepoint.ECN_SET
+
+
 @dataclass(slots=True)
 class Packet:
     """One data segment in flight.

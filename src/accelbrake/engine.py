@@ -13,9 +13,10 @@ only delivers ACKs; transmissions happen when a window opens.
 
 from __future__ import annotations
 
-import heapq
+import itertools
 import random
 from dataclasses import dataclass, field
+from heapq import heappop, heappush
 from typing import Optional
 
 from .core import Packet, SimTime, US_PER_S
@@ -129,13 +130,16 @@ class Simulation:
         self.receiver_coalesce = receiver_coalesce
         self._rng = random.Random(seed)
         self._heap: list = []
-        self._counter = 0
+        # Tie-break for events at the same microsecond: scheduling order.
+        self._counter = itertools.count()
         self.now: SimTime = 0
 
         self.routers: list = []
         self._busy: list[bool] = []
         self._last_dequeue: list[SimTime] = []
         self.log = MetricsLog(duration_us=self.duration_us, seed=seed)
+        # (HopSpec, HopStats) per hop index, for the per-packet handlers.
+        self._hops: list[tuple[HopSpec, HopStats]] = []
         for hop in topology.hops:
             if hop.kind == "abc":
                 router = AbcRouter(hop.hop_id, hop.abc_params,
@@ -152,7 +156,8 @@ class Simulation:
             self.routers.append(router)
             self._busy.append(False)
             self._last_dequeue.append(-1)
-            self.log.hop_stats[hop.hop_id] = HopStats()
+            stats = self.log.hop_stats[hop.hop_id] = HopStats()
+            self._hops.append((hop, stats))
 
         self.flows: dict[str, _FlowRuntime] = {}
         for spec in topology.flows:
@@ -201,24 +206,24 @@ class Simulation:
         return runtime
 
     def _push(self, time: SimTime, handler, args: tuple) -> None:
-        heapq.heappush(self._heap, (time, self._counter, handler, args))
-        self._counter += 1
+        heappush(self._heap, (time, next(self._counter), handler, args))
 
     # -- main loop ------------------------------------------------------------
 
     def run(self) -> MetricsLog:
         heap = self._heap
+        pop = heappop
+        end = self.duration_us
         while heap:
             time, _, handler, args = heap[0]
-            if time > self.duration_us:
+            if time > end:
                 break
-            heapq.heappop(heap)
+            pop(heap)
             self.now = time
             handler(*args)
-        self.now = self.duration_us
-        for hop in self.topology.hops:
-            stats = self.log.hop_stats[hop.hop_id]
-            stats.opportunity_bytes = hop.link.opportunity_bytes(0, self.duration_us)
+        self.now = end
+        for hop, stats in self._hops:
+            stats.opportunity_bytes = hop.link.opportunity_bytes(0, end)
         return self.log
 
     def _on_start(self, runtime: _FlowRuntime) -> None:
@@ -236,13 +241,13 @@ class Simulation:
             self._schedule_dequeue_if_idle(hop_idx)
         if victim is not None:
             self._dropped += 1
-            hop_id = self.topology.hops[hop_idx].hop_id
+            hop_id = self._hops[hop_idx][0].hop_id
             self.log.record_drop(DropRecord(victim.flow_id, victim.seq, hop_id, self.now))
 
     def _schedule_dequeue_if_idle(self, hop_idx: int) -> None:
         if self._busy[hop_idx]:
             return
-        link = self.topology.hops[hop_idx].link
+        link = self._hops[hop_idx][0].link
         t = link.next_delivery(self.now)
         if t is not None and t <= self._last_dequeue[hop_idx]:
             t = link.next_delivery(self.now, after=True)
@@ -256,19 +261,19 @@ class Simulation:
         if router.backlog() == 0:
             self._busy[hop_idx] = False
             return
-        pkt, enqueued_at = router.on_dequeue(self.now)
-        self._last_dequeue[hop_idx] = self.now
-        hop = self.topology.hops[hop_idx]
-        stats = self.log.hop_stats[hop.hop_id]
+        now = self.now
+        pkt, enqueued_at = router.on_dequeue(now)
+        self._last_dequeue[hop_idx] = now
+        hop, stats = self._hops[hop_idx]
         stats.dequeued_bytes += pkt.size_bytes
         stats.dequeues += 1
-        pkt.hop_trace.append((hop.hop_id, enqueued_at, self.now))
-        arrival = self.now + hop.delay_to_next_us
+        pkt.hop_trace.append((hop.hop_id, enqueued_at, now))
+        arrival = now + hop.delay_to_next_us
         if hop_idx + 1 < len(self.routers):
             self._push(arrival, self._on_arrive, (hop_idx + 1, pkt))
         else:
             self._push(arrival, self._on_deliver, (pkt,))
-        t = hop.link.next_delivery(self.now, after=True)
+        t = hop.link.next_delivery(now, after=True)
         if t is None:
             self._busy[hop_idx] = False
         else:

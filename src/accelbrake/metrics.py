@@ -87,6 +87,21 @@ def hop_delays_us(log: MetricsLog, hop_id: str,
     return out
 
 
+def delays_by_hop(log: MetricsLog) -> dict[str, list[int]]:
+    """``hop_delays_us`` over the whole run for every hop in ``hop_stats``.
+
+    One pass over the deliveries serves every hop, so a report that needs
+    all hops' delays should use this rather than ``hop_delays_us`` per hop.
+    """
+    out: dict[str, list[int]] = {hop_id: [] for hop_id in log.hop_stats}
+    for rec in log.deliveries:
+        for hid, enq, deq in rec.hops:
+            delays = out.get(hid)
+            if delays is not None:
+                delays.append(deq - enq)
+    return out
+
+
 def nearest_rank(values: list, p: float):
     """Nearest-rank p-quantile of a non-empty list, which it sorts in place."""
     if not 0 < p <= 1:
@@ -142,12 +157,17 @@ def steady_window(log: MetricsLog) -> tuple[SimTime, SimTime]:
 
 
 def write_outputs(log: MetricsLog, out_dir: str, extras: Optional[dict] = None) -> None:
-    """Write summary.txt, flows/<id>.csv and routers/<hop>.csv under out_dir."""
+    """Write summary.txt, flows/<id>.csv and routers/<hop>.csv under out_dir.
+
+    ``flows/`` and ``routers/`` are created only when the log holds flow or
+    router samples to write into them.
+    """
     os.makedirs(out_dir, exist_ok=True)
     _write_summary(log, os.path.join(out_dir, "summary.txt"), extras or {})
 
     flows_dir = os.path.join(out_dir, "flows")
-    os.makedirs(flows_dir, exist_ok=True)
+    if log.flow_samples:
+        os.makedirs(flows_dir, exist_ok=True)
     for flow_id, samples in sorted(log.flow_samples.items()):
         with open(os.path.join(flows_dir, f"{flow_id}.csv"), "w", newline="") as fh:
             w = csv.writer(fh)
@@ -155,7 +175,8 @@ def write_outputs(log: MetricsLog, out_dir: str, extras: Optional[dict] = None) 
             w.writerows(samples)
 
     routers_dir = os.path.join(out_dir, "routers")
-    os.makedirs(routers_dir, exist_ok=True)
+    if log.router_samples:
+        os.makedirs(routers_dir, exist_ok=True)
     for hop_id, samples in sorted(log.router_samples.items()):
         with open(os.path.join(routers_dir, f"{hop_id}.csv"), "w", newline="") as fh:
             w = csv.writer(fh)
@@ -172,13 +193,14 @@ def _write_summary(log: MetricsLog, path: str, extras: dict) -> None:
         f"delivered_packets={len(log.deliveries)}",
         f"dropped_packets={len(log.drops)}",
     ]
+    all_delays = delays_by_hop(log)
     for hop_id, stats in sorted(log.hop_stats.items()):
         prefix = f"hop.{hop_id}"
         lines.append(f"{prefix}.dequeued_bytes={stats.dequeued_bytes}")
         lines.append(f"{prefix}.drops={stats.drops}")
         if stats.opportunity_bytes > 0:
             lines.append(f"{prefix}.utilization={utilization(log, hop_id):.6f}")
-        delays = hop_delays_us(log, hop_id)
+        delays = all_delays[hop_id]
         if delays:
             lines.append(f"{prefix}.delay_p50_ms={nearest_rank(delays, 0.5) / 1000:.3f}")
             lines.append(f"{prefix}.delay_p95_ms={nearest_rank(delays, 0.95) / 1000:.3f}")

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from typing import Optional
 
-from .core import Ack, EcnCodepoint, Packet, SimTime
+from .core import ACCEL, BRAKE, ECN_SET, Ack, EcnCodepoint, Packet, SimTime
 
 
 class EchoState:
@@ -37,14 +37,14 @@ class EchoState:
     def on_packet(self, pkt: Packet, now: SimTime) -> list[Ack]:
         """Absorb one delivered packet, returning any ACKs to emit now."""
         self.delivered_bytes += pkt.size_bytes
-        if pkt.ecn is EcnCodepoint.ECN_SET:
+        ecn = pkt.ecn
+        if ecn is ECN_SET:
             self.ece_pending = True
-        mark = pkt.ecn if pkt.ecn.is_abc else None
         acks: list[Ack] = []
-        if mark is not None and mark is not self.last_mark:
+        if (ecn is ACCEL or ecn is BRAKE) and ecn is not self.last_mark:
             if self.pending_count > 0:
                 acks.append(self._emit(now))
-            self.last_mark = mark
+            self.last_mark = ecn
             self._absorb(pkt)
             acks.append(self._emit(now))
         else:

@@ -20,7 +20,7 @@ from collections import deque
 from dataclasses import dataclass, field
 from typing import Optional
 
-from .core import EcnCodepoint, MTU_BYTES, Packet, SimTime, US_PER_S
+from .core import ACCEL, BRAKE, MTU_BYTES, Packet, SimTime, US_PER_S
 from .topk import SpaceSavingSketch
 
 ABC_QUEUE = "abc"
@@ -72,9 +72,14 @@ def target_rate(params: AbcParams, mu_bps: float, queue_delay_us: SimTime) -> fl
     by a full ``delta``, the raw value goes negative and is clamped to 0
     (the controller can only brake as hard as "mark everything").
     """
-    excess = max(0, queue_delay_us - params.target_delay_us)
+    # The clamps are comparisons that pick exactly what max()/min() would
+    # pick: this runs on every marked dequeue, where the builtin call costs
+    # more than the compare.
+    excess = queue_delay_us - params.target_delay_us
+    if not excess > 0:
+        excess = 0
     raw = params.eta * mu_bps - (mu_bps / params.delta_us) * excess
-    return max(0.0, raw)
+    return raw if raw > 0.0 else 0.0
 
 
 def accel_fraction(target_bps: float, dequeue_bps: float) -> float:
@@ -89,7 +94,8 @@ def accel_fraction(target_bps: float, dequeue_bps: float) -> float:
         raise ValueError("rates must be non-negative")
     if dequeue_bps == 0:
         return 1.0
-    return min(0.5 * target_bps / dequeue_bps, 1.0)
+    fraction = 0.5 * target_bps / dequeue_bps
+    return 1.0 if fraction > 1.0 else fraction
 
 
 class RateWindow:
@@ -102,10 +108,11 @@ class RateWindow:
         self._events: deque[tuple[SimTime, int]] = deque()
         self._bytes = 0
 
-    def add(self, now: SimTime, n_bytes: int) -> None:
+    def add(self, now: SimTime, n_bytes: int) -> float:
+        """Record bytes sent at ``now``; returns ``rate(now)`` afterwards."""
         self._events.append((now, n_bytes))
         self._bytes += n_bytes
-        self._evict(now)
+        return self.rate(now)
 
     def rate(self, now: SimTime) -> float:
         """Current rate in bits/s (bytes in window divided by the window)."""
@@ -141,14 +148,21 @@ class MarkerState:
     def mark(self, pkt: Packet, fraction: float) -> Packet:
         if not 0 <= fraction <= 1:
             raise ValueError(f"marking fraction must be in [0, 1], got {fraction}")
-        self.token = min(self.token + fraction, self.token_limit)
-        if pkt.ecn is EcnCodepoint.ACCEL:
-            if self.token > 1:
-                self.token -= 1
-            else:
-                pkt.ecn = EcnCodepoint.BRAKE
-        # BRAKE stays braked; NOT_ECT and ECN_SET pass through untouched.
+        self._spend(pkt, fraction)
         return pkt
+
+    def _spend(self, pkt: Packet, fraction: float) -> None:
+        """``mark`` without the range check, for callers that bound ``fraction``."""
+        token = self.token + fraction
+        if token > self.token_limit:
+            token = self.token_limit
+        if pkt.ecn is ACCEL:
+            if token > 1:
+                token -= 1
+            else:
+                pkt.ecn = BRAKE
+        # BRAKE stays braked; NOT_ECT and ECN_SET pass through untouched.
+        self.token = token
 
 
 class DualQueue:
@@ -158,6 +172,9 @@ class DualQueue:
     per visit and is work-conserving: a lone backlogged queue is always
     served regardless of its weight.  With both queues backlogged,
     service converges to the weight split within one packet.
+
+    ``_count`` is the number of packets held in both queues together:
+    every append and pop adjusts it, so ``backlog()`` is O(1).
     """
 
     # An arrival is accepted only while its queue is shorter than this
@@ -174,25 +191,26 @@ class DualQueue:
         self.quantum_bytes = quantum_bytes
         self.weight_abc = 1.0
         self._tags = (ABC_QUEUE, LEGACY_QUEUE)
-        self._queues: dict[str, deque] = {t: deque() for t in self._tags}
-        self._deficit = {t: 0.0 for t in self._tags}
+        # Indexed like _tags; _ptr is the index of the queue DRR visits next.
+        self._by_index = (deque(), deque())
+        self._queues = dict(zip(self._tags, self._by_index))
+        self._deficit = [0.0, 0.0]
+        self._count = 0
         self._ptr = 0
         self._fresh_visit = True
-
-    def _weight(self, tag: str) -> float:
-        return self.weight_abc if tag == ABC_QUEUE else 1.0 - self.weight_abc
 
     def backlog(self, tag: Optional[str] = None) -> int:
         if tag is not None:
             return len(self._queues[tag])
-        return sum(len(q) for q in self._queues.values())
+        return self._count
 
     def enqueue(self, tag: str, pkt: Packet, now: SimTime) -> Optional[Packet]:
         """Append to one queue; returns the arriving packet if it was dropped."""
-        free = self.capacity_pkts - self.backlog()
-        if len(self._queues[tag]) >= self.THRESHOLD_RATIO * free:
+        q = self._queues[tag]
+        if len(q) >= self.THRESHOLD_RATIO * (self.capacity_pkts - self._count):
             return pkt
-        self._queues[tag].append((pkt, now))
+        q.append((pkt, now))
+        self._count += 1
         return None
 
     def head_sojourn(self, tag: str, now: SimTime) -> SimTime:
@@ -204,28 +222,37 @@ class DualQueue:
 
     def dequeue(self, now: SimTime) -> tuple[str, Packet, SimTime]:
         """Pop the next packet per DRR; returns (queue tag, packet, enqueue time)."""
-        busy = [t for t in self._tags if self._queues[t]]
-        if not busy:
-            raise IndexError("dequeue from an empty dual queue")
-        if len(busy) == 1:
+        abc, legacy = self._by_index
+        if not abc or not legacy:
+            if abc:
+                idx = 0
+            elif legacy:
+                idx = 1
+            else:
+                raise IndexError("dequeue from an empty dual queue")
             # Work conservation: serve the lone busy queue and restart the
             # round cleanly so no credit is banked across idle periods.
-            tag = busy[0]
-            self._deficit = {t: 0.0 for t in self._tags}
-            self._ptr = self._tags.index(tag) ^ 1
+            deficit = self._deficit
+            deficit[0] = deficit[1] = 0.0
+            self._ptr = idx ^ 1
             self._fresh_visit = True
-            pkt, enq = self._queues[tag].popleft()
-            return tag, pkt, enq
+            self._count -= 1
+            pkt, enq = self._by_index[idx].popleft()
+            return self._tags[idx], pkt, enq
+        deficit = self._deficit
         while True:
-            tag = self._tags[self._ptr]
+            idx = self._ptr
             if self._fresh_visit:
-                self._deficit[tag] += self._weight(tag) * self.quantum_bytes
+                weight = self.weight_abc if idx == 0 else 1.0 - self.weight_abc
+                deficit[idx] += weight * self.quantum_bytes
                 self._fresh_visit = False
-            head = self._queues[tag][0][0]
-            if self._deficit[tag] >= head.size_bytes:
-                self._deficit[tag] -= head.size_bytes
-                pkt, enq = self._queues[tag].popleft()
-                return tag, pkt, enq
+            q = self._by_index[idx]
+            size = q[0][0].size_bytes
+            if deficit[idx] >= size:
+                deficit[idx] -= size
+                self._count -= 1
+                pkt, enq = q.popleft()
+                return self._tags[idx], pkt, enq
             self._ptr ^= 1
             self._fresh_visit = True
 
@@ -303,7 +330,8 @@ class AbcRouter:
 
     @staticmethod
     def classify(pkt: Packet) -> str:
-        return ABC_QUEUE if pkt.ecn.is_abc else LEGACY_QUEUE
+        ecn = pkt.ecn
+        return ABC_QUEUE if ecn is ACCEL or ecn is BRAKE else LEGACY_QUEUE
 
     def enqueue(self, pkt: Packet, now: SimTime) -> Optional[Packet]:
         """Queue a packet; returns the dropped packet on overflow, else None."""
@@ -318,20 +346,20 @@ class AbcRouter:
     def on_dequeue(self, now: SimTime) -> tuple[Packet, SimTime]:
         """Serve one packet: mark it if it is ABC traffic, account its bytes."""
         tag, pkt, enqueued_at = self.queue.dequeue(now)
-        self._sketches[tag].record(pkt.flow_id, pkt.size_bytes)
-        self._epoch_bytes[tag] += pkt.size_bytes
+        size = pkt.size_bytes
+        self._sketches[tag].record(pkt.flow_id, size)
+        self._epoch_bytes[tag] += size
         if tag == ABC_QUEUE:
             sojourn_us = now - enqueued_at
-            self.rate_window.add(now, pkt.size_bytes)
+            current = self.rate_window.add(now, size)
             if self.fixed_fraction is not None:
                 fraction = self.fixed_fraction
                 target = current = 0.0
             else:
                 mu = self.capacity_view.capacity(now) * self.queue.weight_abc
-                current = self.rate_window.rate(now)
                 target = target_rate(self.params, mu, sojourn_us)
                 fraction = accel_fraction(target, current)
-            self.marker.mark(pkt, fraction)
+            self.marker._spend(pkt, fraction)
             if self.log_rows:
                 self.rows.append((now, tag, round(fraction, 6), round(target, 1),
                                   round(current, 1), sojourn_us,

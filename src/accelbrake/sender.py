@@ -16,7 +16,7 @@ from __future__ import annotations
 import math
 from typing import Optional
 
-from .core import Ack, EcnCodepoint, MTU_BYTES, Packet, SimTime
+from .core import ACCEL, BRAKE, Ack, EcnCodepoint, MTU_BYTES, Packet, SimTime
 from .legacy import CubicWindow
 
 WINDOW_FLOOR = 1.0
@@ -50,7 +50,14 @@ def lost_ack_drift(accel_fraction: float, delivery_prob: float, window: float) -
 
 
 class FlowSender:
-    """Window bookkeeping common to both sender flavors."""
+    """Window bookkeeping common to both sender flavors.
+
+    ``unacked`` maps each unacknowledged sequence number to ``(bytes,
+    sent_at)``.  Its keys are always the contiguous range
+    ``[next_seq - len(unacked), next_seq)``: ``transmit`` appends at
+    ``next_seq``, ``_retire`` removes a prefix and ``on_timeout`` empties
+    it, so the lowest unacknowledged sequence number needs no search.
+    """
 
     scheme = "base"
 
@@ -100,19 +107,33 @@ class FlowSender:
 
     def transmit(self, now: SimTime) -> list[Packet]:
         out: list[Packet] = []
-        while not self.stopped and self.inflight < self.effective_window():
+        if self.stopped:
+            return out
+        # Neither the window nor the mark changes while packets go out.
+        window = self.effective_window()
+        mark = self._initial_mark()
+        unacked = self.unacked
+        seq = self.next_seq
+        inflight = self.inflight
+        budget = self._budget_left
+        sent = 0
+        while inflight < window:
             size = MTU_BYTES
-            if self._budget_left is not None:
-                if self._budget_left <= 0:
+            if budget is not None:
+                if budget <= 0:
                     break
-                size = min(size, self._budget_left)
-                self._budget_left -= size
-            pkt = Packet(self.flow_id, self.next_seq, size, self._initial_mark(), now)
-            self.unacked[self.next_seq] = (size, now)
-            self.next_seq += 1
-            self.inflight += 1
-            self.bytes_sent += size
-            out.append(pkt)
+                if budget < size:
+                    size = budget
+                budget -= size
+            out.append(Packet(self.flow_id, seq, size, mark, now))
+            unacked[seq] = (size, now)
+            seq += 1
+            inflight += 1
+            sent += size
+        self.next_seq = seq
+        self.inflight = inflight
+        self._budget_left = budget
+        self.bytes_sent += sent
         return out
 
     def _retire(self, acked_seq: int, now: SimTime) -> tuple[int, int]:
@@ -123,20 +144,22 @@ class FlowSender:
         retired too (there is no retransmission) and the caller treats
         them as losses.
         """
-        retired_pkts = 0
+        unacked = self.unacked
+        end = self.next_seq
+        start = end - len(unacked)
+        if acked_seq < end:
+            end = acked_seq + 1
+        if end <= start:
+            return 0, 0
         retired_bytes = 0
-        sent_at = None
-        for seq in list(self.unacked):
-            if seq > acked_seq:
-                break
-            size, sent_at = self.unacked.pop(seq)
+        for seq in range(start, end):
+            size, sent_at = unacked.pop(seq)
             retired_bytes += size
-            retired_pkts += 1
+        retired_pkts = end - start
         self.inflight -= retired_pkts
-        if sent_at is not None:
-            sample = now - sent_at
-            self.srtt_us = sample if self.srtt_us is None \
-                else (7 * self.srtt_us + sample) // 8
+        sample = now - sent_at
+        self.srtt_us = sample if self.srtt_us is None \
+            else (7 * self.srtt_us + sample) // 8
         return retired_pkts, retired_bytes
 
     def rtt_estimate(self) -> SimTime:
@@ -183,22 +206,26 @@ class AbcSender(FlowSender):
         return EcnCodepoint.ACCEL
 
     def on_ack(self, ack: Ack, now: SimTime) -> list[Packet]:
+        newly = ack.bytes_newly_acked
         retired_pkts, retired_bytes = self._retire(ack.acked_seq, now)
-        if retired_pkts == 0 and ack.bytes_newly_acked == 0:
+        if retired_pkts == 0 and newly == 0:
             return []  # duplicate or stale
         self.last_progress = now
-        delta = ack.bytes_newly_acked / MTU_BYTES
-        if ack.echo_mark is EcnCodepoint.ACCEL:
-            self.w_abc += delta * (1.0 + 1.0 / self.w_abc) if self.additive_increase else delta
-        elif ack.echo_mark is EcnCodepoint.BRAKE:
-            self.w_abc += delta * (-1.0 + 1.0 / self.w_abc) if self.additive_increase else -delta
-        self.w_abc = max(WINDOW_FLOOR, self.w_abc)
-        lost = retired_bytes > ack.bytes_newly_acked
-        self.cubic.rtt_guard_us = self.rtt_estimate()
+        delta = newly / MTU_BYTES
+        w = self.w_abc
+        mark = ack.echo_mark
+        if mark is ACCEL:
+            w += delta * (1.0 + 1.0 / w) if self.additive_increase else delta
+        elif mark is BRAKE:
+            w += delta * (-1.0 + 1.0 / w) if self.additive_increase else -delta
+        self.w_abc = w if w > WINDOW_FLOOR else WINDOW_FLOOR
+        lost = retired_bytes > newly
+        cubic = self.cubic
+        cubic.rtt_guard_us = self.rtt_estimate()
         if ack.ece or lost:
-            self.cubic.on_congestion(now)
+            cubic.on_congestion(now)
         else:
-            self.cubic.on_ack(delta, now)
+            cubic.on_ack(delta, now)
         self._apply_cap()
         out = self.transmit(now)
         self._check_cap()
@@ -233,16 +260,18 @@ class CubicSender(FlowSender):
         return self.cubic.cwnd
 
     def on_ack(self, ack: Ack, now: SimTime) -> list[Packet]:
+        newly = ack.bytes_newly_acked
         retired_pkts, retired_bytes = self._retire(ack.acked_seq, now)
-        if retired_pkts == 0 and ack.bytes_newly_acked == 0:
+        if retired_pkts == 0 and newly == 0:
             return []
         self.last_progress = now
-        lost = retired_bytes > ack.bytes_newly_acked
-        self.cubic.rtt_guard_us = self.rtt_estimate()
+        lost = retired_bytes > newly
+        cubic = self.cubic
+        cubic.rtt_guard_us = self.rtt_estimate()
         if ack.ece or lost:
-            self.cubic.on_congestion(now)
+            cubic.on_congestion(now)
         else:
-            self.cubic.on_ack(ack.bytes_newly_acked / MTU_BYTES, now)
+            cubic.on_ack(newly / MTU_BYTES, now)
         self._apply_cap()
         out = self.transmit(now)
         self._check_cap()

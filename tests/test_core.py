@@ -3,6 +3,9 @@
 import pytest
 
 from accelbrake.core import (
+    ACCEL,
+    BRAKE,
+    ECN_SET,
     MTU_BITS,
     MTU_BYTES,
     EcnCodepoint,
@@ -68,3 +71,11 @@ def test_codepoint_classes():
     assert EcnCodepoint.BRAKE.is_abc
     assert not EcnCodepoint.NOT_ECT.is_abc
     assert not EcnCodepoint.ECN_SET.is_abc
+
+
+def test_codepoint_aliases_match_is_abc():
+    # The per-packet paths test ``ecn is ACCEL or ecn is BRAKE``.
+    assert (ACCEL, BRAKE, ECN_SET) == (
+        EcnCodepoint.ACCEL, EcnCodepoint.BRAKE, EcnCodepoint.ECN_SET)
+    for cp in EcnCodepoint:
+        assert (cp is ACCEL or cp is BRAKE) == cp.is_abc

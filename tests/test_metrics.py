@@ -10,6 +10,7 @@ from accelbrake.metrics import (
     HopStats,
     MetricsLog,
     delay_percentile,
+    delays_by_hop,
     flow_throughputs,
     hop_delays_us,
     jain_index,
@@ -52,6 +53,17 @@ def test_hop_delays_filter_by_hop_and_window():
     # Window bounds apply to the dequeue instant, inclusive on both ends.
     assert hop_delays_us(log, "a", start=500, end=500) == [500]
     assert hop_delays_us(log, "a", start=501) == [600]
+
+
+def test_delays_by_hop_matches_per_hop_scan():
+    log = MetricsLog()
+    for hop in ("a", "b", "idle"):
+        log.hop_stats[hop] = HopStats()
+    log.record_delivery(_delivery("f", 0, 900, [("a", 0, 500), ("b", 600, 800)]))
+    log.record_delivery(_delivery("f", 1, 2_000, [("a", 900, 1_500), ("x", 1_500, 1_700)]))
+    # Hops outside hop_stats are skipped; a hop that served nothing gets [].
+    assert delays_by_hop(log) == {h: hop_delays_us(log, h) for h in log.hop_stats}
+    assert delays_by_hop(log) == {"a": [500, 600], "b": [200], "idle": []}
 
 
 def test_percentile_uses_nearest_rank():
@@ -138,3 +150,12 @@ def test_write_outputs_layout(tmp_path):
     assert flow_csv[0] == "time_us,w_abc,w_cubic,inflight,send_rate_bps"
     assert len(flow_csv) == 2
     assert os.path.exists(out / "routers" / "h.csv")
+
+
+def test_write_outputs_skips_empty_sample_dirs(tmp_path):
+    log = MetricsLog(duration_us=3_000_000)
+    log.hop_stats["h"] = HopStats(opportunity_bytes=10_000, dequeued_bytes=5_000)
+    log.record_delivery(_delivery("f", 0, 2_500_000, [("h", 0, 400)]))
+    out = tmp_path / "run"
+    write_outputs(log, str(out))
+    assert sorted(os.listdir(out)) == ["summary.txt"]
