@@ -22,7 +22,7 @@ from typing import Optional
 from .core import Packet, SimTime, US_PER_S
 from .legacy import DroptailRouter, short_flow_schedule
 from .links import LinkProcess, OracleRateView
-from .metrics import DeliveryRecord, DropRecord, HopStats, MetricsLog
+from .metrics import DropRecord, HopStats, MetricsLog
 from .receiver import EchoState
 from .router import AbcParams, AbcRouter
 from .sender import AbcSender, CubicSender, FlowSender
@@ -267,7 +267,7 @@ class Simulation:
         hop, stats = self._hops[hop_idx]
         stats.dequeued_bytes += pkt.size_bytes
         stats.dequeues += 1
-        pkt.hop_trace.append((hop.hop_id, enqueued_at, now))
+        pkt.hop_trace.extend((hop.hop_id, enqueued_at, now))
         arrival = now + hop.delay_to_next_us
         if hop_idx + 1 < len(self.routers):
             self._push(arrival, self._on_arrive, (hop_idx + 1, pkt))
@@ -281,9 +281,8 @@ class Simulation:
 
     def _on_deliver(self, pkt: Packet) -> None:
         self._delivered += 1
-        self.log.record_delivery(DeliveryRecord(
-            pkt.flow_id, pkt.seq, pkt.size_bytes, pkt.send_time, self.now,
-            tuple(pkt.hop_trace)))
+        self.log.record_delivery(pkt.flow_id, pkt.seq, pkt.size_bytes, pkt.send_time,
+                                 self.now, pkt.hop_trace)
         runtime = self.flows[pkt.flow_id]
         acks = runtime.echo.on_packet(pkt, self.now)
         if acks:

@@ -211,10 +211,16 @@ class OracleRateView:
             raise ValueError(f"oracle window must be positive, got {window_us}")
         self.link = link
         self.window_us = int(window_us)
+        # A fixed link offers the same bytes in every full window, so that
+        # answer is computed once, by capacity's own expression.
+        self._full_window_bps = None
+        if isinstance(link, FixedLink):
+            self._full_window_bps = self.capacity(self.window_us)
 
     def capacity(self, now: SimTime) -> float:
+        if self._full_window_bps is not None and now >= self.window_us:
+            return self._full_window_bps
         width = min(self.window_us, now)
         if width <= 0:
             return self.link.rate_at(0)
         return self.link.opportunity_bytes(now - width, now) * 8 * US_PER_S / width
-

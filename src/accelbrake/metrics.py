@@ -1,10 +1,26 @@
 """Run log and the statistics derived from it.
 
-The simulator appends one record per delivered packet (with per-hop
-enqueue/dequeue stamps), one per drop, and per-hop byte totals.  The
-functions here turn those into link utilization, queuing-delay
+The simulator appends one row per delivered packet (with per-hop
+enqueue/dequeue stamps), one record per drop, and per-hop byte totals.
+The functions here turn those into link utilization, queuing-delay
 percentiles, per-flow throughput, and Jain's fairness index, and write
 the CSV/summary artifacts for a scenario run.
+
+Deliveries are stored by column, so a row costs a few machine words
+instead of a record, a tuple per hop and an int object per stamp:
+
+- ``flow_ids`` (a list of the senders' own ``str`` objects), ``seqs``,
+  ``sizes``, ``send_times`` and ``deliver_times`` (``array('q')``) hold
+  one entry per delivered packet, in delivery order.
+- ``stamp_hops``, ``enqueue_times`` and ``dequeue_times`` hold one entry
+  per hop a delivered packet crossed, row after row and in path order
+  within a row.  ``stamp_hops`` indexes ``hop_ids``; row ``i``'s stamps
+  are ``stamp_offsets[i]:stamp_offsets[i + 1]`` (``stamp_offsets``
+  starts with 0), so rows whose paths differ stay representable.
+
+The statistics read the columns directly.  ``MetricsLog.deliveries`` is a
+read-only sequence of ``DeliveryRecord`` built from the columns one
+record at a time, on access.
 """
 
 from __future__ import annotations
@@ -12,8 +28,11 @@ from __future__ import annotations
 import csv
 import math
 import os
+from array import array
+from collections.abc import Sequence
 from dataclasses import dataclass, field
-from typing import Iterable, Optional, Sequence
+from functools import partial
+from typing import Iterable, Optional
 
 from .core import SimTime, US_PER_S
 
@@ -49,21 +68,87 @@ class HopStats:
 class MetricsLog:
     duration_us: SimTime = 0
     seed: int = 0
-    deliveries: list = field(default_factory=list)
     drops: list = field(default_factory=list)
     hop_stats: dict = field(default_factory=dict)
     # Optional detailed traces, filled in when a run asks for them.
     flow_samples: dict = field(default_factory=dict)    # flow -> [(t, w_abc, w_cubic, inflight, rate_bps)]
     router_samples: dict = field(default_factory=dict)  # hop -> [(t, queue, f, tr, cr, x_us, token, mark)]
+    # Delivery columns; the layout is in the module docstring.
+    flow_ids: list = field(default_factory=list, init=False, repr=False)
+    seqs: array = field(default_factory=partial(array, "q"), init=False, repr=False)
+    sizes: array = field(default_factory=partial(array, "q"), init=False, repr=False)
+    send_times: array = field(default_factory=partial(array, "q"), init=False, repr=False)
+    deliver_times: array = field(default_factory=partial(array, "q"), init=False, repr=False)
+    stamp_hops: array = field(default_factory=partial(array, "i"), init=False, repr=False)
+    enqueue_times: array = field(default_factory=partial(array, "q"), init=False, repr=False)
+    dequeue_times: array = field(default_factory=partial(array, "q"), init=False, repr=False)
+    stamp_offsets: array = field(default_factory=partial(array, "q", [0]), init=False,
+                                 repr=False)
+    hop_ids: list = field(default_factory=list, init=False, repr=False)
+    _hop_index: dict = field(default_factory=dict, init=False, repr=False)
 
-    def record_delivery(self, rec: DeliveryRecord) -> None:
-        self.deliveries.append(rec)
+    def record_delivery(self, flow_id: str, seq: int, size_bytes: int,
+                        send_time: SimTime, deliver_time: SimTime, hops) -> None:
+        """Append one delivered packet.
+
+        ``hops`` is flat: ``hop_id, enqueue_time, dequeue_time`` for each
+        hop crossed, in path order (the layout of ``Packet.hop_trace``).
+        """
+        self.flow_ids.append(flow_id)
+        self.seqs.append(seq)
+        self.sizes.append(size_bytes)
+        self.send_times.append(send_time)
+        self.deliver_times.append(deliver_time)
+        index = self._hop_index
+        stamp = iter(hops)
+        for hop_id, enq, deq in zip(stamp, stamp, stamp):
+            hop = index.get(hop_id)
+            if hop is None:
+                hop = index[hop_id] = len(self.hop_ids)
+                self.hop_ids.append(hop_id)
+            self.stamp_hops.append(hop)
+            self.enqueue_times.append(enq)
+            self.dequeue_times.append(deq)
+        self.stamp_offsets.append(len(self.stamp_hops))
 
     def record_drop(self, rec: DropRecord) -> None:
         self.drops.append(rec)
         stats = self.hop_stats.get(rec.hop_id)
         if stats is not None:
             stats.drops += 1
+
+    @property
+    def deliveries(self) -> "DeliveryView":
+        """The delivered packets as ``DeliveryRecord``s, built on access."""
+        return DeliveryView(self)
+
+
+class DeliveryView(Sequence):
+    """Read-only sequence of a log's deliveries; each record is built when read."""
+
+    __slots__ = ("_log",)
+
+    def __init__(self, log: MetricsLog):
+        self._log = log
+
+    def __len__(self) -> int:
+        return len(self._log.seqs)
+
+    def __getitem__(self, i: int) -> DeliveryRecord:
+        # range() checks the bounds and resolves a negative index.
+        return self._record(range(len(self))[i])
+
+    def __iter__(self):
+        for i in range(len(self)):
+            yield self._record(i)
+
+    def _record(self, i: int) -> DeliveryRecord:
+        log = self._log
+        stamps = tuple((log.hop_ids[log.stamp_hops[k]], log.enqueue_times[k],
+                        log.dequeue_times[k])
+                       for k in range(log.stamp_offsets[i], log.stamp_offsets[i + 1]))
+        return DeliveryRecord(log.flow_ids[i], log.seqs[i], log.sizes[i],
+                              log.send_times[i], log.deliver_times[i], stamps)
 
 
 def utilization(log: MetricsLog, hop_id: str) -> float:
@@ -79,12 +164,10 @@ def utilization(log: MetricsLog, hop_id: str) -> float:
 def hop_delays_us(log: MetricsLog, hop_id: str,
                   start: SimTime = 0, end: Optional[SimTime] = None) -> list[int]:
     """Per-packet queuing delays at one hop, for packets dequeued in [start, end]."""
-    out = []
-    for rec in log.deliveries:
-        for hid, enq, deq in rec.hops:
-            if hid == hop_id and deq >= start and (end is None or deq <= end):
-                out.append(deq - enq)
-    return out
+    hop = log._hop_index.get(hop_id)  # None matches no stamp
+    return [deq - enq for h, enq, deq
+            in zip(log.stamp_hops, log.enqueue_times, log.dequeue_times)
+            if h == hop and deq >= start and (end is None or deq <= end)]
 
 
 def delays_by_hop(log: MetricsLog) -> dict[str, list[int]]:
@@ -94,11 +177,11 @@ def delays_by_hop(log: MetricsLog) -> dict[str, list[int]]:
     all hops' delays should use this rather than ``hop_delays_us`` per hop.
     """
     out: dict[str, list[int]] = {hop_id: [] for hop_id in log.hop_stats}
-    for rec in log.deliveries:
-        for hid, enq, deq in rec.hops:
-            delays = out.get(hid)
-            if delays is not None:
-                delays.append(deq - enq)
+    by_index = [out.get(hop_id) for hop_id in log.hop_ids]
+    for hop, enq, deq in zip(log.stamp_hops, log.enqueue_times, log.dequeue_times):
+        delays = by_index[hop]
+        if delays is not None:
+            delays.append(deq - enq)
     return out
 
 
@@ -141,9 +224,9 @@ def flow_throughputs(log: MetricsLog, start: SimTime, end: SimTime,
     if end <= start:
         raise ValueError("throughput window must have positive width")
     delivered: dict[str, int] = {f: 0 for f in flows} if flows else {}
-    for rec in log.deliveries:
-        if start < rec.deliver_time <= end:
-            delivered[rec.flow_id] = delivered.get(rec.flow_id, 0) + rec.size_bytes
+    for flow_id, size, t in zip(log.flow_ids, log.sizes, log.deliver_times):
+        if start < t <= end:
+            delivered[flow_id] = delivered.get(flow_id, 0) + size
     return {fid: b * 8 * US_PER_S / (end - start) for fid, b in delivered.items()}
 
 

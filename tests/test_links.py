@@ -128,6 +128,20 @@ class TestRateViews:
         view = OracleRateView(FixedLink(24e6), window_us=20_000)
         assert view.capacity(50_000) == pytest.approx(24e6)
 
+    @pytest.mark.parametrize("rate", [1e6, 7.3e6, 12e6, 24e6, 36.7e6, 96e6])
+    @pytest.mark.parametrize("window", [1, 7_777, 20_000])
+    def test_oracle_fixed_link_is_bit_identical_to_window_average(self, rate, window):
+        # The fixed-link full-window answer is computed once; it must equal
+        # the windowed average exactly, at every instant, early window too.
+        link = FixedLink(rate)
+        view = OracleRateView(link, window_us=window)
+        for now in (1, window - 1, window, window + 1, 3 * window + 5, 60_000_001):
+            width = min(window, now)
+            if width <= 0:
+                continue
+            want = link.opportunity_bytes(now - width, now) * 8 * 1_000_000 / width
+            assert view.capacity(now) == want
+
     def test_oracle_uses_nominal_rate_at_time_zero(self):
         view = OracleRateView(StepLink([(0, 12e6), (1_000_000, 24e6)]))
         assert view.capacity(0) == 12e6

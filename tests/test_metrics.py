@@ -5,7 +5,6 @@ import os
 import pytest
 
 from accelbrake.metrics import (
-    DeliveryRecord,
     DropRecord,
     HopStats,
     MetricsLog,
@@ -20,8 +19,8 @@ from accelbrake.metrics import (
 )
 
 
-def _delivery(fid, seq, deliver, hops, size=1500, send=0):
-    return DeliveryRecord(fid, seq, size, send, deliver, tuple(hops))
+def _deliver(log, fid, seq, deliver, hops, size=1500, send=0):
+    log.record_delivery(fid, seq, size, send, deliver, [x for hop in hops for x in hop])
 
 
 def _log_with_hop_delays(delays, hop="h"):
@@ -29,7 +28,7 @@ def _log_with_hop_delays(delays, hop="h"):
     log = MetricsLog(duration_us=1_000_000)
     for i, d in enumerate(delays):
         deq = 1_000 * (i + 1)
-        log.record_delivery(_delivery("f", i, deq + 10, [(hop, deq - d, deq)]))
+        _deliver(log, "f", i, deq + 10, [(hop, deq - d, deq)])
     return log
 
 
@@ -46,8 +45,8 @@ def test_utilization_ratio_and_errors():
 
 def test_hop_delays_filter_by_hop_and_window():
     log = MetricsLog()
-    log.record_delivery(_delivery("f", 0, 900, [("a", 0, 500), ("b", 600, 800)]))
-    log.record_delivery(_delivery("f", 1, 2_000, [("a", 900, 1_500)]))
+    _deliver(log, "f", 0, 900, [("a", 0, 500), ("b", 600, 800)])
+    _deliver(log, "f", 1, 2_000, [("a", 900, 1_500)])
     assert hop_delays_us(log, "a") == [500, 600]
     assert hop_delays_us(log, "b") == [200]
     # Window bounds apply to the dequeue instant, inclusive on both ends.
@@ -59,8 +58,8 @@ def test_delays_by_hop_matches_per_hop_scan():
     log = MetricsLog()
     for hop in ("a", "b", "idle"):
         log.hop_stats[hop] = HopStats()
-    log.record_delivery(_delivery("f", 0, 900, [("a", 0, 500), ("b", 600, 800)]))
-    log.record_delivery(_delivery("f", 1, 2_000, [("a", 900, 1_500), ("x", 1_500, 1_700)]))
+    _deliver(log, "f", 0, 900, [("a", 0, 500), ("b", 600, 800)])
+    _deliver(log, "f", 1, 2_000, [("a", 900, 1_500), ("x", 1_500, 1_700)])
     # Hops outside hop_stats are skipped; a hop that served nothing gets [].
     assert delays_by_hop(log) == {h: hop_delays_us(log, h) for h in log.hop_stats}
     assert delays_by_hop(log) == {"a": [500, 600], "b": [200], "idle": []}
@@ -101,7 +100,7 @@ def test_jain_index_rejects_degenerate_input():
 def test_throughput_window_is_left_open_right_closed():
     log = MetricsLog()
     for deliver in (1_000, 2_000, 3_000):
-        log.record_delivery(_delivery("f", deliver, deliver, [("h", 0, deliver)]))
+        _deliver(log, "f", deliver, deliver, [("h", 0, deliver)])
     # Delivery at exactly `start` is excluded, at exactly `end` included.
     got = flow_throughputs(log, 1_000, 3_000)
     assert got["f"] == pytest.approx(2 * 1500 * 8 * 1e6 / 2_000)
@@ -134,7 +133,7 @@ def test_drop_recording_updates_hop_stats():
 def test_write_outputs_layout(tmp_path):
     log = MetricsLog(duration_us=3_000_000, seed=42)
     log.hop_stats["h"] = HopStats(opportunity_bytes=10_000, dequeued_bytes=5_000)
-    log.record_delivery(_delivery("f", 0, 2_500_000, [("h", 0, 400)]))
+    _deliver(log, "f", 0, 2_500_000, [("h", 0, 400)])
     log.flow_samples["f"] = [(1_000_000, 2.0, 3.0, 1, 1e6)]
     log.router_samples["h"] = [(400, "abc", 0.5, 1e6, 9e5, 400, 1.0, "ACCEL")]
     out = tmp_path / "run"
@@ -155,7 +154,7 @@ def test_write_outputs_layout(tmp_path):
 def test_write_outputs_skips_empty_sample_dirs(tmp_path):
     log = MetricsLog(duration_us=3_000_000)
     log.hop_stats["h"] = HopStats(opportunity_bytes=10_000, dequeued_bytes=5_000)
-    log.record_delivery(_delivery("f", 0, 2_500_000, [("h", 0, 400)]))
+    _deliver(log, "f", 0, 2_500_000, [("h", 0, 400)])
     out = tmp_path / "run"
     write_outputs(log, str(out))
     assert sorted(os.listdir(out)) == ["summary.txt"]
