@@ -196,6 +196,8 @@ def _parse_hop(sec: _Section, base_dir: str, base_params: AbcParams) -> HopSpec:
     )
     if kind == "abc" and spec.ecn_threshold_pkts is not None:
         raise ConfigError(f"{sec.path}.ecn_threshold_pkts: only valid on droptail hops")
+    if spec.initial_weight > 1:
+        raise ConfigError(f"{sec.path}.initial_weight: must be <= 1, got {spec.initial_weight}")
     sec.finish()
     return spec
 

@@ -91,22 +91,8 @@ class Ack:
     recv_time: SimTime = 0
 
 
-def mtu_packets(n_bytes: int) -> int:
-    """Number of MTU-sized packets needed to carry ``n_bytes``."""
-    if n_bytes < 0:
-        raise ValueError(f"byte count must be non-negative, got {n_bytes}")
-    return math.ceil(n_bytes / MTU_BYTES)
-
-
 def mtu_transmit_us(rate_bps: float) -> int:
     """Microseconds to serialize one MTU at ``rate_bps``, rounded up."""
     if rate_bps <= 0:
         raise ValueError(f"rate must be positive, got {rate_bps}")
     return max(1, math.ceil(MTU_BITS * US_PER_S / rate_bps))
-
-
-def bits_per_second(n_bytes: float, interval_us: SimTime) -> float:
-    """Average rate over an interval, in bits per second."""
-    if interval_us <= 0:
-        raise ValueError(f"interval must be positive, got {interval_us}")
-    return n_bytes * 8 * US_PER_S / interval_us

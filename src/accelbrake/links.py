@@ -21,7 +21,7 @@ import math
 from bisect import bisect_left, bisect_right
 from typing import Optional, Sequence
 
-from .core import MTU_BITS, MTU_BYTES, SimTime, US_PER_MS, US_PER_S
+from .core import MTU_BITS, MTU_BYTES, SimTime, US_PER_MS, US_PER_S, mtu_transmit_us
 
 
 class LinkProcess:
@@ -51,7 +51,7 @@ class FixedLink(LinkProcess):
         if rate_bps <= 0:
             raise ValueError(f"fixed link rate must be positive, got {rate_bps}")
         self.rate_bps = rate_bps
-        self._mtu_us = max(1, math.ceil(MTU_BITS * US_PER_S / rate_bps))
+        self._mtu_us = mtu_transmit_us(rate_bps)
 
     def next_delivery(self, now: SimTime, after: bool = False) -> Optional[SimTime]:
         # A packet starting service now completes one serialization later.

@@ -137,12 +137,10 @@ class MarkerState:
     minimum of the per-hop fractions.
     """
 
-    def __init__(self, token_limit: float = 2.0, initial_token: float = 0.0):
+    def __init__(self, token_limit: float = 2.0):
         if token_limit < 1:
             raise ValueError(f"token limit must be at least 1, got {token_limit}")
-        if not 0 <= initial_token <= token_limit:
-            raise ValueError("initial token must lie within [0, token_limit]")
-        self.token = float(initial_token)
+        self.token = 0.0
         self.token_limit = float(token_limit)
 
     def mark(self, pkt: Packet, fraction: float) -> Packet:
@@ -183,12 +181,12 @@ class DualQueue:
     # itself while slack remains, so it can never starve the other
     # queue's arrivals, yet all losses stay classic tail drops.
     THRESHOLD_RATIO = 2.0
+    QUANTUM_BYTES = MTU_BYTES
 
-    def __init__(self, capacity_pkts: int, quantum_bytes: int = MTU_BYTES):
+    def __init__(self, capacity_pkts: int):
         if capacity_pkts < 1:
             raise ValueError(f"buffer capacity must be at least 1 packet, got {capacity_pkts}")
         self.capacity_pkts = capacity_pkts
-        self.quantum_bytes = quantum_bytes
         self.weight_abc = 1.0
         self._tags = (ABC_QUEUE, LEGACY_QUEUE)
         # Indexed like _tags; _ptr is the index of the queue DRR visits next.
@@ -212,13 +210,6 @@ class DualQueue:
         q.append((pkt, now))
         self._count += 1
         return None
-
-    def head_sojourn(self, tag: str, now: SimTime) -> SimTime:
-        """Waiting time of the oldest packet in a queue; 0 when empty."""
-        q = self._queues[tag]
-        if not q:
-            return 0
-        return now - q[0][1]
 
     def dequeue(self, now: SimTime) -> tuple[str, Packet, SimTime]:
         """Pop the next packet per DRR; returns (queue tag, packet, enqueue time)."""
@@ -244,7 +235,7 @@ class DualQueue:
             idx = self._ptr
             if self._fresh_visit:
                 weight = self.weight_abc if idx == 0 else 1.0 - self.weight_abc
-                deficit[idx] += weight * self.quantum_bytes
+                deficit[idx] += weight * self.QUANTUM_BYTES
                 self._fresh_visit = False
             q = self._by_index[idx]
             size = q[0][0].size_bytes
@@ -300,6 +291,8 @@ class AbcRouter:
         params.validate()
         if fixed_fraction is not None and not 0 <= fixed_fraction <= 1:
             raise ValueError(f"fixed fraction must be in [0, 1], got {fixed_fraction}")
+        if not 0 <= initial_weight <= 1:
+            raise ValueError(f"initial weight must be in [0, 1], got {initial_weight}")
         self.hop_id = hop_id
         self.params = params
         self.capacity_view = capacity_view
@@ -339,9 +332,6 @@ class AbcRouter:
 
     def backlog(self) -> int:
         return self.queue.backlog()
-
-    def queue_delay_estimate(self, now: SimTime) -> SimTime:
-        return self.queue.head_sojourn(ABC_QUEUE, now)
 
     def on_dequeue(self, now: SimTime) -> tuple[Packet, SimTime]:
         """Serve one packet: mark it if it is ABC traffic, account its bytes."""

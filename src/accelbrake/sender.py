@@ -9,11 +9,15 @@ minimum of the two, so the flow never outcompetes loss-based traffic at
 a legacy bottleneck.  Both windows are capped at twice the packets in
 flight: feedback can at most double the send rate over one RTT, so any
 larger window is stale information.
+
+A legacy sender is the same machine without the mark-driven window.
+``FlowSender`` therefore owns the Cubic window, the ACK reaction and the
+timeout; ``AbcSender`` adds the accel/brake window and its mark update,
+and ``CubicSender`` adds nothing but its own names for the entry points.
 """
 
 from __future__ import annotations
 
-import math
 from typing import Optional
 
 from .core import ACCEL, BRAKE, Ack, EcnCodepoint, MTU_BYTES, Packet, SimTime
@@ -50,7 +54,11 @@ def lost_ack_drift(accel_fraction: float, delivery_prob: float, window: float) -
 
 
 class FlowSender:
-    """Window bookkeeping common to both sender flavors.
+    """A window-limited sender driven by its Cubic window ``w_cubic``.
+
+    The ACK reaction (``_on_ack``) and the timeout live here once.  A
+    subclass with a second window overrides ``effective_window`` and
+    ``_clamp_windows`` and updates that window before ``_on_ack`` runs.
 
     ``unacked`` maps each unacknowledged sequence number to ``(bytes,
     sent_at)``.  Its keys are always the contiguous range
@@ -59,13 +67,12 @@ class FlowSender:
     it, so the lowest unacknowledged sequence number needs no search.
     """
 
-    scheme = "base"
-
     def __init__(self, flow_id: str, initial_window: float = 10.0,
                  base_rtt_us: SimTime = 100_000, bytes_budget: Optional[int] = None):
         self.flow_id = flow_id
         self.base_rtt_us = base_rtt_us
         self.initial_window = float(initial_window)
+        self.cubic = CubicWindow(initial_window, rtt_guard_us=base_rtt_us)
         self.next_seq = 0
         self.unacked: dict[int, tuple[int, SimTime]] = {}  # seq -> (bytes, sent_at)
         self.inflight = 0
@@ -77,6 +84,10 @@ class FlowSender:
         self.last_progress: SimTime = 0
         self.srtt_us: Optional[SimTime] = None
 
+    @property
+    def w_cubic(self) -> float:
+        return self.cubic.cwnd
+
     # -- interface used by the event loop -----------------------------------
 
     def start(self, now: SimTime) -> list[Packet]:
@@ -84,23 +95,45 @@ class FlowSender:
         return self.transmit(now)
 
     def effective_window(self) -> float:
-        raise NotImplementedError
-
-    def on_ack(self, ack: Ack, now: SimTime) -> list[Packet]:
-        raise NotImplementedError
+        return self.cubic.cwnd
 
     def on_timeout(self, now: SimTime) -> list[Packet]:
-        """Declare everything in flight lost and restart the ACK clock."""
+        """Declare everything in flight lost, reset Cubic and restart the ACK clock."""
+        self.cubic.on_timeout(now)
         self.unacked.clear()
         self.inflight = 0
         self.last_progress = now
-        return self.transmit(now)
+        out = self.transmit(now)
+        self._apply_cap()
+        return out
 
     def done(self) -> bool:
         return (self._budget_left is not None and self._budget_left <= 0
                 and not self.unacked)
 
     # -- internals -----------------------------------------------------------
+
+    def _on_ack(self, ack: Ack, now: SimTime) -> list[Packet]:
+        """Retire, react in Cubic, cap and transmit; returns the packets sent.
+
+        Sequence holes retired below the ACK point (more bytes retired
+        than newly acknowledged) count as a loss, as does an ECN echo.
+        """
+        newly = ack.bytes_newly_acked
+        retired_pkts, retired_bytes = self._retire(ack.acked_seq, now)
+        if retired_pkts == 0 and newly == 0:
+            return []  # duplicate or stale
+        self.last_progress = now
+        cubic = self.cubic
+        cubic.rtt_guard_us = self.rtt_estimate()
+        if ack.ece or retired_bytes > newly:
+            cubic.on_congestion(now)
+        else:
+            cubic.on_ack(newly / MTU_BYTES, now)
+        self._apply_cap()
+        out = self.transmit(now)
+        self._check_cap()
+        return out
 
     def _initial_mark(self) -> EcnCodepoint:
         return EcnCodepoint.NOT_ECT
@@ -173,7 +206,7 @@ class FlowSender:
         self._clamp_windows(limit)
 
     def _clamp_windows(self, limit: float) -> None:
-        raise NotImplementedError
+        self.cubic.cwnd = max(WINDOW_FLOOR, min(self.cubic.cwnd, limit))
 
     def _check_cap(self) -> None:
         limit = 2.0 * max(self.inflight, 1)
@@ -182,21 +215,14 @@ class FlowSender:
 
 
 class AbcSender(FlowSender):
-    """Dual-window sender driven by accelerate/brake echoes."""
-
-    scheme = "abc"
+    """Dual-window sender: ``w_abc`` follows the echoed marks."""
 
     def __init__(self, flow_id: str, initial_window: float = 10.0,
                  base_rtt_us: SimTime = 100_000, additive_increase: bool = True,
                  bytes_budget: Optional[int] = None):
         super().__init__(flow_id, initial_window, base_rtt_us, bytes_budget)
         self.w_abc = float(initial_window)
-        self.cubic = CubicWindow(initial_window, rtt_guard_us=base_rtt_us)
         self.additive_increase = additive_increase
-
-    @property
-    def w_cubic(self) -> float:
-        return self.cubic.cwnd
 
     def effective_window(self) -> float:
         return min(self.w_abc, self.cubic.cwnd)
@@ -206,12 +232,9 @@ class AbcSender(FlowSender):
         return EcnCodepoint.ACCEL
 
     def on_ack(self, ack: Ack, now: SimTime) -> list[Packet]:
-        newly = ack.bytes_newly_acked
-        retired_pkts, retired_bytes = self._retire(ack.acked_seq, now)
-        if retired_pkts == 0 and newly == 0:
-            return []  # duplicate or stale
-        self.last_progress = now
-        delta = newly / MTU_BYTES
+        # A stale ACK acknowledges nothing new and so leaves w_abc as it
+        # is; the shared reaction never reads w_abc before its cap.
+        delta = ack.bytes_newly_acked / MTU_BYTES
         w = self.w_abc
         mark = ack.echo_mark
         if mark is ACCEL:
@@ -219,67 +242,20 @@ class AbcSender(FlowSender):
         elif mark is BRAKE:
             w += delta * (-1.0 + 1.0 / w) if self.additive_increase else -delta
         self.w_abc = w if w > WINDOW_FLOOR else WINDOW_FLOOR
-        lost = retired_bytes > newly
-        cubic = self.cubic
-        cubic.rtt_guard_us = self.rtt_estimate()
-        if ack.ece or lost:
-            cubic.on_congestion(now)
-        else:
-            cubic.on_ack(delta, now)
-        self._apply_cap()
-        out = self.transmit(now)
-        self._check_cap()
-        return out
+        return self._on_ack(ack, now)
 
-    def on_timeout(self, now: SimTime) -> list[Packet]:
-        self.cubic.on_timeout(now)
-        out = super().on_timeout(now)
-        self._apply_cap()
-        return out
+    # Defined on the class itself: perfbench/tracer.py wraps each sender
+    # flavor's on_ack and on_timeout through the class __dict__.
+    on_timeout = FlowSender.on_timeout
 
     def _clamp_windows(self, limit: float) -> None:
         self.w_abc = max(WINDOW_FLOOR, min(self.w_abc, limit))
-        self.cubic.cwnd = max(WINDOW_FLOOR, min(self.cubic.cwnd, limit))
+        FlowSender._clamp_windows(self, limit)
 
 
 class CubicSender(FlowSender):
     """Loss/ECN-driven legacy sender (long flows and short transfers)."""
 
-    scheme = "cubic"
-
-    def __init__(self, flow_id: str, initial_window: float = 10.0,
-                 base_rtt_us: SimTime = 100_000, bytes_budget: Optional[int] = None):
-        super().__init__(flow_id, initial_window, base_rtt_us, bytes_budget)
-        self.cubic = CubicWindow(initial_window, rtt_guard_us=base_rtt_us)
-
-    @property
-    def w_cubic(self) -> float:
-        return self.cubic.cwnd
-
-    def effective_window(self) -> float:
-        return self.cubic.cwnd
-
-    def on_ack(self, ack: Ack, now: SimTime) -> list[Packet]:
-        newly = ack.bytes_newly_acked
-        retired_pkts, retired_bytes = self._retire(ack.acked_seq, now)
-        if retired_pkts == 0 and newly == 0:
-            return []
-        self.last_progress = now
-        lost = retired_bytes > newly
-        cubic = self.cubic
-        cubic.rtt_guard_us = self.rtt_estimate()
-        if ack.ece or lost:
-            cubic.on_congestion(now)
-        else:
-            cubic.on_ack(newly / MTU_BYTES, now)
-        self._apply_cap()
-        out = self.transmit(now)
-        self._check_cap()
-        return out
-
-    def on_timeout(self, now: SimTime) -> list[Packet]:
-        self.cubic.on_timeout(now)
-        return super().on_timeout(now)
-
-    def _clamp_windows(self, limit: float) -> None:
-        self.cubic.cwnd = max(WINDOW_FLOOR, min(self.cubic.cwnd, limit))
+    # Bound on the class itself for the tracer, as in AbcSender.
+    on_ack = FlowSender._on_ack
+    on_timeout = FlowSender.on_timeout

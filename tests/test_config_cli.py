@@ -111,6 +111,10 @@ def test_short_flow_section():
         (lambda d: d["hops"][0].update(ecn_threshold_pkts=5),
          "ecn_threshold_pkts: only valid on droptail"),
         (lambda d: d["flows"][0].update(stop_s=0.0), "stop_s: must be after start_s"),
+        (lambda d: d["hops"][0].update(initial_weight=5.0),
+         "scenario.hops[0].initial_weight: must be <= 1"),
+        (lambda d: d["hops"][0].update(initial_weight=-0.5),
+         "scenario.hops[0].initial_weight: must be >= 0"),
         (lambda d: d["flows"][0].update(initial_window=0.5), "must be >= 1"),
         (lambda d: d["flows"][0].update(additive_increase=3), "expected true/false"),
         (lambda d: d["hops"][0]["link"].update(type="wormhole"), "expected one of"),

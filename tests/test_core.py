@@ -9,27 +9,12 @@ from accelbrake.core import (
     MTU_BITS,
     MTU_BYTES,
     EcnCodepoint,
-    bits_per_second,
-    mtu_packets,
     mtu_transmit_us,
 )
 
 
 def test_mtu_constants_agree():
     assert MTU_BITS == MTU_BYTES * 8
-
-
-@pytest.mark.parametrize(
-    "n_bytes, pkts",
-    [(0, 0), (1, 1), (1500, 1), (1501, 2), (15000, 10), (15001, 11)],
-)
-def test_mtu_packets_rounds_up(n_bytes, pkts):
-    assert mtu_packets(n_bytes) == pkts
-
-
-def test_mtu_packets_rejects_negative():
-    with pytest.raises(ValueError):
-        mtu_packets(-1)
 
 
 def test_mtu_transmit_time_exact_rates():
@@ -53,17 +38,6 @@ def test_mtu_transmit_time_rejects_nonpositive_rate():
         mtu_transmit_us(0)
     with pytest.raises(ValueError):
         mtu_transmit_us(-5)
-
-
-def test_bits_per_second_roundtrip():
-    # 1500 bytes in 500 us is 24 Mbit/s.
-    assert bits_per_second(1500, 500) == pytest.approx(24e6)
-    assert bits_per_second(0, 1000) == 0.0
-
-
-def test_bits_per_second_rejects_empty_interval():
-    with pytest.raises(ValueError):
-        bits_per_second(1500, 0)
 
 
 def test_codepoint_classes():

@@ -83,7 +83,8 @@ _queue_ops = st.lists(st.one_of(
 @given(capacity=st.integers(1, 12), quantum=st.sampled_from([500, 1500, 3000]),
        ops=_queue_ops)
 def test_dual_queue_matches_reference(capacity, quantum, ops):
-    new, ref = DualQueue(capacity, quantum), _ReferenceDualQueue(capacity, quantum)
+    new, ref = DualQueue(capacity), _ReferenceDualQueue(capacity, quantum)
+    new.QUANTUM_BYTES = quantum
     for now, op in enumerate(ops):
         if op[0] == "enqueue":
             _, tag, size = op

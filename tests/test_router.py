@@ -107,8 +107,6 @@ class TestMarkerState:
         with pytest.raises(ValueError):
             MarkerState(token_limit=0.9)
         with pytest.raises(ValueError):
-            MarkerState(initial_token=3.0)
-        with pytest.raises(ValueError):
             MarkerState().mark(_pkt(), 1.5)
 
     def test_half_fraction_pattern(self):
@@ -212,13 +210,6 @@ class TestDualQueue:
         assert q.enqueue(ABC_QUEUE, _pkt("a", 9), 0) is not None
         assert q.enqueue(LEGACY_QUEUE, _pkt("l", 9, ecn=EcnCodepoint.NOT_ECT), 0) is not None
 
-    def test_head_sojourn(self):
-        q = DualQueue(8)
-        assert q.head_sojourn(ABC_QUEUE, 500) == 0
-        q.enqueue(ABC_QUEUE, _pkt("a", 0), 100)
-        q.enqueue(ABC_QUEUE, _pkt("a", 1), 200)
-        assert q.head_sojourn(ABC_QUEUE, 250) == 150
-
 
 # ---------------------------------------------------------------- water fill
 
@@ -296,6 +287,11 @@ class TestAbcRouter:
         with pytest.raises(ValueError):
             AbcRouter("r", AbcParams(), _FixedCapacity(1e6), fixed_fraction=1.5)
 
+    @pytest.mark.parametrize("weight", [-0.1, 1.5, 5.0])
+    def test_rejects_initial_weight_outside_unit_interval(self, weight):
+        with pytest.raises(ValueError, match="initial weight"):
+            AbcRouter("r", AbcParams(), _FixedCapacity(1e6), initial_weight=weight)
+
     def test_fixed_fraction_meters_marks(self):
         r = AbcRouter("r", AbcParams(), _FixedCapacity(24e6), fixed_fraction=0.5)
         for i in range(20):
@@ -304,14 +300,6 @@ class TestAbcRouter:
             r.on_dequeue(100 + i)[0].ecn is EcnCodepoint.ACCEL for i in range(20))
         assert accels <= 0.5 * 20 + 2.0
         assert accels >= 0.5 * 20 - 2.0
-
-    def test_queue_delay_tracks_abc_head(self):
-        r = AbcRouter("r", AbcParams(), _FixedCapacity(24e6))
-        assert r.queue_delay_estimate(1_000) == 0
-        r.enqueue(_pkt("f", 0, ecn=EcnCodepoint.NOT_ECT), 0)  # legacy, ignored
-        assert r.queue_delay_estimate(1_000) == 0
-        r.enqueue(_pkt("f", 1), 200)
-        assert r.queue_delay_estimate(1_000) == 800
 
     def test_log_rows_record_marking_decisions(self):
         r = AbcRouter("r", AbcParams(), _FixedCapacity(24e6), log_rows=True)
