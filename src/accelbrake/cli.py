@@ -10,12 +10,13 @@ synthesized acknowledgment trace.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
 
-from .config import ConfigError, ScenarioConfig, load_scenario
-from .engine import Simulation
+from .config import ConfigError, load_scenario
+from .engine import ScenarioConfig, Simulation
 from .metrics import (MetricsLog, delays_by_hop, flow_throughputs, jain_index,
                       nearest_rank, steady_window, utilization, write_outputs)
 
@@ -118,11 +119,10 @@ def _summarize(log: MetricsLog, topo) -> str:
     return "\n".join(lines)
 
 
-def _run_one(config_path: str, seed: int, duration_us, out_dir) -> str:
+def _run_one(config_path: str, seed: int, duration_us: int, out_dir) -> str:
     cfg = load_scenario(config_path)
     cfg.seed = seed
-    if duration_us is not None:
-        cfg.duration_us = duration_us
+    cfg.duration_us = duration_us
     sim = Simulation(cfg.topology, cfg.duration_us, seed=cfg.seed,
                      flow_sample_interval_us=cfg.sample_interval_us,
                      log_router_rows=cfg.log_router_rows,
@@ -153,7 +153,15 @@ def _cmd_run(args) -> int:
         if not seeds:
             print("error: --seeds is empty", file=sys.stderr)
             return 2
-    duration_us = None if args.duration is None else int(round(args.duration * 1e6))
+    # The overrides obey the same rules as the file's own values.
+    try:
+        if args.duration is not None:
+            cfg.duration_us = int(round(args.duration * 1e6))
+        for seed in seeds:
+            dataclasses.replace(cfg, seed=seed).validate()
+    except (ValueError, OverflowError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
     def out_for(seed: int):
         if args.out is None:
@@ -161,11 +169,11 @@ def _cmd_run(args) -> int:
         return args.out if len(seeds) == 1 else os.path.join(args.out, f"seed_{seed}")
 
     if len(seeds) == 1:
-        print(_run_one(args.config, seeds[0], duration_us, out_for(seeds[0])))
+        print(_run_one(args.config, seeds[0], cfg.duration_us, out_for(seeds[0])))
         return 0
     jobs = args.jobs if args.jobs > 0 else min(len(seeds), os.cpu_count() or 1)
     with ProcessPoolExecutor(max_workers=jobs) as pool:
-        futures = [pool.submit(_run_one, args.config, s, duration_us, out_for(s))
+        futures = [pool.submit(_run_one, args.config, s, cfg.duration_us, out_for(s))
                    for s in seeds]
         for fut in futures:
             print(fut.result())
@@ -257,8 +265,6 @@ def _cmd_wifi(args) -> int:
             print(f"error: {args.trace}: no events", file=sys.stderr)
             return 2
 
-    window_us = int(round(args.window_ms * 1000))
-
     def report(points, label=""):
         tail = points[len(points) // 3:] or points
         mean = sum(p.capped_bps for p in tail) / len(tail)
@@ -266,19 +272,23 @@ def _cmd_wifi(args) -> int:
         print(f"{label}estimate {mean / 1e6:.3f} Mbit/s over the last two thirds "
               f"({capped:.0%} of samples limited by the current-rate cap)")
 
+    try:
+        window_us = int(round(args.window_ms * 1000))
+        if args.per_user:
+            per = wifi.estimate_capacity_per_user(events, window_us, args.cap_factor)
+        else:
+            points = wifi.estimate_capacity(events, window_us, args.cap_factor)
+    except (ValueError, OverflowError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     if args.per_user:
-        per = wifi.estimate_capacity_per_user(events, window_us, args.cap_factor)
         for user, points in per.items():
             report(points, label=f"user {user}: ")
-        flat = sorted((p for pts in per.values() for p in pts), key=lambda p: p.time_us)
-        if args.out:
-            wifi.write_estimates(flat, args.out)
+        points = sorted((p for pts in per.values() for p in pts), key=lambda p: p.time_us)
     else:
-        points = wifi.estimate_capacity(events, window_us, args.cap_factor)
         report(points)
-        if args.out:
-            wifi.write_estimates(points, args.out)
     if args.out:
+        wifi.write_estimates(points, args.out)
         print(f"estimates written to {args.out}")
     return 0
 

@@ -9,6 +9,7 @@ converted at the edges.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field
 from enum import IntEnum
 from typing import Optional
@@ -21,6 +22,25 @@ US_PER_S = 1_000_000
 
 MTU_BYTES = 1500
 MTU_BITS = MTU_BYTES * 8
+
+
+_COMPARE = {">=": operator.ge, ">": operator.gt, "<=": operator.le}
+
+
+def check_fields(spec, sep: str = ": ", **rules) -> None:
+    """Raise ValueError for the first field of ``spec`` that breaks its rule.
+
+    A rule is ``">= 1"`` or a tuple of them (``("> 0", "<= 1")``); a field
+    left at None passes.  The message leads with the field name
+    (``initial_window: must be >= 1, got 0.0``) so a caller can put the
+    spec's own path in front of it.
+    """
+    for name, conds in rules.items():
+        value = getattr(spec, name)
+        for cond in (conds,) if isinstance(conds, str) else conds:
+            op, bound = cond.split()
+            if value is not None and not _COMPARE[op](value, float(bound)):
+                raise ValueError(f"{name}{sep}must be {cond}, got {value}")
 
 
 class EcnCodepoint(IntEnum):

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 from heapq import heappop, heappush
 from typing import Optional
 
-from .core import Packet, SimTime, US_PER_S
+from .core import Packet, SimTime, US_PER_S, check_fields
 from .legacy import DroptailRouter, short_flow_schedule
 from .links import LinkProcess, OracleRateView
 from .metrics import DropRecord, HopStats, MetricsLog
@@ -45,6 +45,21 @@ class HopSpec:
     delay_to_next_us: SimTime = 0
     initial_weight: float = 1.0
 
+    def validate(self) -> None:
+        if self.kind not in ("abc", "droptail"):
+            raise ValueError(f"kind: unknown kind {self.kind!r}, expected abc or droptail")
+        if self.ecn_threshold_pkts is not None and self.kind != "droptail":
+            raise ValueError("ecn_threshold_pkts: only valid on droptail hops")
+        if self.fixed_fraction is not None and self.kind != "abc":
+            raise ValueError("fixed_fraction: only valid on abc hops")
+        check_fields(self, buffer_pkts=">= 1", oracle_window_us="> 0",
+                     ecn_threshold_pkts=">= 1", fixed_fraction=(">= 0", "<= 1"),
+                     delay_to_next_us=">= 0", initial_weight=(">= 0", "<= 1"))
+        try:
+            self.abc_params.validate()
+        except ValueError as exc:
+            raise ValueError(f"abc_params: {exc}") from exc
+
 
 @dataclass
 class FlowSpec:
@@ -58,6 +73,14 @@ class FlowSpec:
     additive_increase: bool = True
     bytes_budget: Optional[int] = None
 
+    def validate(self) -> None:
+        if self.scheme not in ("abc", "cubic"):
+            raise ValueError(f"scheme: unknown scheme {self.scheme!r}, expected abc or cubic")
+        check_fields(self, start_us=">= 0", fwd_delay_us=">= 0", rev_delay_us=">= 0",
+                     initial_window=">= 1", bytes_budget=">= 1")
+        if self.stop_us is not None and not self.stop_us > self.start_us:
+            raise ValueError("stop_us: must be after start_us")
+
 
 @dataclass
 class ShortFlowLoad:
@@ -69,6 +92,10 @@ class ShortFlowLoad:
     rev_delay_us: SimTime = 40_000
     initial_window: float = 10.0
 
+    def validate(self) -> None:
+        check_fields(self, load_bps=">= 0", flow_bytes=">= 1", fwd_delay_us=">= 0",
+                     rev_delay_us=">= 0", initial_window=">= 1")
+
 
 @dataclass
 class Topology:
@@ -77,29 +104,46 @@ class Topology:
     shorts: Optional[ShortFlowLoad] = None
 
     def validate(self) -> None:
+        """Check every spec, naming it by its place (``flows[1].stop_us: ...``), then the ids."""
         if not self.hops:
             raise ValueError("topology needs at least one hop")
-        if not self.flows and self.shorts is None:
+        if not self.flows and not (self.shorts is not None and self.shorts.load_bps > 0):
             raise ValueError("topology needs at least one flow")
-        seen = set()
-        for hop in self.hops:
-            if hop.kind not in ("abc", "droptail"):
-                raise ValueError(f"hop {hop.hop_id!r}: unknown kind {hop.kind!r}")
-            if hop.hop_id in seen:
-                raise ValueError(f"duplicate hop id {hop.hop_id!r}")
-            seen.add(hop.hop_id)
-        ids = set()
-        for flow in self.flows:
-            if flow.scheme not in ("abc", "cubic"):
-                raise ValueError(f"flow {flow.flow_id!r}: unknown scheme {flow.scheme!r}")
-            if flow.flow_id in ids:
-                raise ValueError(f"duplicate flow id {flow.flow_id!r}")
-            ids.add(flow.flow_id)
+        specs = [(f"hops[{i}]", hop) for i, hop in enumerate(self.hops)]
+        specs += [(f"flows[{i}]", flow) for i, flow in enumerate(self.flows)]
+        specs += [("shorts", self.shorts)] if self.shorts is not None else []
+        for path, spec in specs:
+            try:
+                spec.validate()
+            except ValueError as exc:
+                raise ValueError(f"{path}.{exc}") from exc
+        for kind, ids in (("hop", [h.hop_id for h in self.hops]),
+                          ("flow", [f.flow_id for f in self.flows])):
+            for i, name in enumerate(ids):
+                if name in ids[:i]:
+                    raise ValueError(f"duplicate {kind} id {name!r}")
 
     def path_rtt_us(self, flow) -> SimTime:
         """Base round trip of a FlowSpec, or of the ShortFlowLoad's transfers."""
         inter = sum(h.delay_to_next_us for h in self.hops)
         return flow.fwd_delay_us + inter + flow.rev_delay_us
+
+
+@dataclass
+class ScenarioConfig:
+    """Everything needed to construct and run one simulation."""
+
+    topology: Topology
+    duration_us: SimTime
+    seed: int = 0
+    sample_interval_us: SimTime = 0
+    receiver_coalesce: int = 2
+    log_router_rows: bool = False
+
+    def validate(self) -> None:
+        check_fields(self, duration_us=">= 0", seed=">= 0", sample_interval_us=">= 0",
+                     receiver_coalesce=">= 1")
+        self.topology.validate()
 
 
 @dataclass

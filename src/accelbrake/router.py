@@ -20,7 +20,7 @@ from collections import deque
 from dataclasses import dataclass, field
 from typing import Optional
 
-from .core import ACCEL, BRAKE, MTU_BYTES, Packet, SimTime, US_PER_S
+from .core import ACCEL, BRAKE, MTU_BYTES, Packet, SimTime, US_PER_S, check_fields
 from .topk import SpaceSavingSketch
 
 ABC_QUEUE = "abc"
@@ -49,20 +49,12 @@ class AbcParams:
     sketch_size: int = 10
 
     def validate(self) -> None:
-        if not 0 < self.eta <= 1:
-            raise ValueError(f"eta must be in (0, 1], got {self.eta}")
-        if self.delta_us <= 0:
-            raise ValueError(f"delta must be positive, got {self.delta_us}")
-        if self.target_delay_us < 0:
-            raise ValueError(f"target delay must be non-negative, got {self.target_delay_us}")
-        if self.token_limit < 1:
-            raise ValueError(f"token limit must be at least 1, got {self.token_limit}")
-        if not 0 < self.demand_smoothing <= 1:
-            raise ValueError(
-                f"demand smoothing must be in (0, 1], got {self.demand_smoothing}")
-        if self.demand_memory < 1:
-            raise ValueError(
-                f"demand memory must be at least 1, got {self.demand_memory}")
+        # Always nested in a hop or in a file's base section, so the message
+        # reads under that section: "abc_params: eta must be > 0, got 0".
+        check_fields(self, " ", eta=("> 0", "<= 1"), delta_us="> 0", target_delay_us=">= 0",
+                     token_limit=">= 1", rate_window_us="> 0", weight_interval_us="> 0",
+                     demand_headroom=">= 0", demand_smoothing=("> 0", "<= 1"),
+                     demand_memory=">= 1", sketch_size=">= 1")
 
 
 def target_rate(params: AbcParams, mu_bps: float, queue_delay_us: SimTime) -> float:

@@ -109,6 +109,8 @@ class EstimatePoint:
 
 def _estimate_stream(events, window_us: SimTime, cap_factor: float,
                      recompute_inter_ack: bool) -> list[EstimatePoint]:
+    if not cap_factor > 0:
+        raise ValueError(f"cap factor must be positive, got {cap_factor}")
     raw_filter = CapacityFilter(window_us)
     rate_filter = CapacityFilter(window_us)
     prev_time: Optional[float] = None

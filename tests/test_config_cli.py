@@ -132,6 +132,48 @@ def test_malformed_scenarios_name_the_key(mutate, fragment):
     assert fragment in str(err.value).replace("'", "")
 
 
+@pytest.mark.parametrize("mutate, message", [
+    (lambda d: d["flows"][0].update(bytes=0), "scenario.flows[0].bytes: must be >= 1, got 0"),
+    (lambda d: d["flows"][0].update(forward_delay_ms=-1),
+     "scenario.flows[0].forward_delay_ms: must be >= 0, got -1000"),
+    (lambda d: d["flows"][0].update(start_s=2, stop_s=1), "scenario.flows[0].stop_s: must be after"),
+    (lambda d: d.update(shorts={"load_mbps": 5, "flow_kbytes": 0}),
+     "scenario.shorts.flow_kbytes: must be >= 1, got 0"),
+    (lambda d: d.update(abc_params={"weight_interval_ms": 0}),
+     "scenario.abc_params: weight_interval_ms must be > 0, got 0"),
+    (lambda d: d["hops"][0].update(abc_params={"sketch_size": 0}),
+     "scenario.hops[0].abc_params: sketch_size must be >= 1, got 0"),
+    (lambda d: d["hops"][0].update(oracle_window_ms=0.0004),
+     "scenario.hops[0].oracle_window_ms: must be > 0, got 0"),
+    (lambda d: d["hops"][0].update(kind="red"), "scenario.hops[0].kind: unknown kind"),
+    (lambda d: d.update(hops=d["hops"] * 2), "scenario: duplicate hop id"),
+    (lambda d: d.update(seed=-1), "scenario.seed: must be >= 0, got -1"),
+    (lambda d: d.update(duration_s=float("nan")), "scenario.duration_s: expected a finite"),
+])
+def test_spec_rules_name_the_yaml_key(mutate, message):
+    data = _scenario()
+    mutate(data)
+    with pytest.raises(ConfigError) as err:
+        parse_scenario(data)
+    assert message in str(err.value)
+
+
+def test_values_round_to_microseconds_before_checks():
+    data = _scenario(duration_s=0.0005)
+    data["hops"][0]["oracle_window_ms"] = 0.0006
+    cfg = parse_scenario(data)
+    assert cfg.duration_us == 500
+    assert cfg.topology.hops[0].oracle_window_us == 1
+
+
+def test_null_keys_keep_their_defaults():
+    data = _scenario(shorts=None, abc_params=None)
+    data["flows"][0].update(stop_s=None, bytes=None)
+    cfg = parse_scenario(data)
+    assert cfg.topology.shorts is None
+    assert cfg.topology.flows[0].stop_us is None
+
+
 def test_load_scenario_file_errors(tmp_path):
     missing = tmp_path / "nope.yaml"
     with pytest.raises(ConfigError, match="cannot read"):
@@ -206,6 +248,19 @@ def test_cli_run_validate_only(quick_scenario, capsys):
     assert "ok" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("args, message", [
+    (["--duration", "-1"], "error: duration_us: must be >= 0, got -1000000"),
+    (["--seed", "-1"], "error: seed: must be >= 0, got -1"),
+    (["--seeds", "1,-2"], "error: seed: must be >= 0, got -2"),
+])
+def test_cli_run_checks_overrides(args, message, capsys):
+    path = os.path.join(SCENARIO_DIR, "single_trace.yaml")
+    assert main(["run", "--config", path, *args]) == 2
+    captured = capsys.readouterr()
+    assert message in captured.err
+    assert captured.out == ""
+
+
 def test_cli_seed_sweep_across_processes(quick_scenario, tmp_path, capsys):
     out_dir = tmp_path / "sweep"
     rc = main(["run", "--config", quick_scenario, "--seeds", "1,2",
@@ -260,3 +315,15 @@ def test_cli_wifi_errors(tmp_path, capsys):
     # 500 Mbit/s offered against a ~52 Mbit/s link: the generator refuses.
     assert main(["wifi-estimate", "--generate", "--load-mbps", "500"]) == 2
     assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("args, message", [
+    (["--window-ms", "0"], "filter window must be positive"),
+    (["--cap-factor", "-1"], "cap factor must be positive"),
+    (["--cap-factor", "0", "--per-user"], "cap factor must be positive"),
+])
+def test_cli_wifi_rejects_bad_estimator_settings(args, message, capsys):
+    assert main(["wifi-estimate", "--generate", "--duration-s", "1", *args]) == 2
+    captured = capsys.readouterr()
+    assert f"error: {message}" in captured.err
+    assert "estimate" not in captured.out

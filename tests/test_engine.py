@@ -1,6 +1,7 @@
 """Event-loop integration: determinism, conservation, lifecycle events."""
 
 import hashlib
+import re
 from pathlib import Path
 
 import pytest
@@ -8,6 +9,7 @@ import pytest
 from accelbrake.config import load_scenario
 from accelbrake.engine import FlowSpec, HopSpec, ShortFlowLoad, Simulation, Topology
 from accelbrake.links import FixedLink
+from accelbrake.router import AbcParams
 
 SCENARIO_DIR = Path(__file__).resolve().parent.parent / "scenarios"
 
@@ -142,6 +144,41 @@ def test_topology_validation_errors():
         Topology([hop, HopSpec("h", FixedLink(1e6))], [FlowSpec("f")]).validate()
     with pytest.raises(ValueError, match="unknown kind"):
         Topology([HopSpec("x", FixedLink(1e6), kind="red")], [FlowSpec("f")]).validate()
+
+
+@pytest.mark.parametrize("hop, flow, shorts, message", [
+    ({}, {"initial_window": 0.0}, None, "flows[1].initial_window: must be >= 1, got 0.0"),
+    ({}, {"fwd_delay_us": -1}, None, "flows[1].fwd_delay_us: must be >= 0"),
+    ({}, {"start_us": 1_000, "stop_us": 1_000}, None, "flows[1].stop_us: must be after"),
+    ({}, {"bytes_budget": 0}, None, "flows[1].bytes_budget: must be >= 1"),
+    ({"ecn_threshold_pkts": 5}, {}, None, "hops[0].ecn_threshold_pkts: only valid on droptail"),
+    ({"fixed_fraction": 0.5, "kind": "droptail"}, {}, None, "hops[0].fixed_fraction: only"),
+    ({"abc_params": AbcParams(weight_interval_us=0)}, {}, None,
+     "hops[0].abc_params: weight_interval_us must be > 0"),
+    ({"abc_params": AbcParams(rate_window_us=0)}, {}, None,
+     "hops[0].abc_params: rate_window_us must be > 0"),
+    ({"abc_params": AbcParams(demand_headroom=-2)}, {}, None,
+     "hops[0].abc_params: demand_headroom must be >= 0"),
+    ({"abc_params": AbcParams(sketch_size=0)}, {}, None,
+     "hops[0].abc_params: sketch_size must be >= 1"),
+    ({}, {}, {"initial_window": 0}, "shorts.initial_window: must be >= 1"),
+    ({}, {}, {"flow_bytes": 0}, "shorts.flow_bytes: must be >= 1"),
+])
+def test_simulation_names_the_invalid_spec(hop, flow, shorts, message):
+    # Each of these once ran (delivering nothing, or hanging, or failing
+    # mid-run); now building the Simulation names the spec and field.
+    topo = Topology([HopSpec("h", FixedLink(1e6), **hop)], [FlowSpec("ok"), FlowSpec("f", **flow)],
+                    None if shorts is None else ShortFlowLoad(1e6, **shorts))
+    with pytest.raises(ValueError, match=re.escape(message)):
+        Simulation(topo, duration_us=1_000_000)
+
+
+def test_zero_short_load_counts_as_no_flow():
+    # The engine never starts a zero-load stream, and the config drops it.
+    hop = HopSpec("h", FixedLink(1e6))
+    with pytest.raises(ValueError, match="at least one flow"):
+        Topology([hop], [], ShortFlowLoad(0)).validate()
+    Topology([hop], [], ShortFlowLoad(1e6)).validate()
 
 
 def test_negative_duration_rejected():
