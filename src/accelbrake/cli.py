@@ -119,10 +119,7 @@ def _summarize(log: MetricsLog, topo) -> str:
     return "\n".join(lines)
 
 
-def _run_one(config_path: str, seed: int, duration_us: int, out_dir) -> str:
-    cfg = load_scenario(config_path)
-    cfg.seed = seed
-    cfg.duration_us = duration_us
+def _run_one(cfg: ScenarioConfig, out_dir) -> str:
     sim = Simulation(cfg.topology, cfg.duration_us, seed=cfg.seed,
                      flow_sample_interval_us=cfg.sample_interval_us,
                      log_router_rows=cfg.log_router_rows,
@@ -153,12 +150,14 @@ def _cmd_run(args) -> int:
         if not seeds:
             print("error: --seeds is empty", file=sys.stderr)
             return 2
-    # The overrides obey the same rules as the file's own values.
+    # The overrides obey the same rules as the file's own values, and each
+    # run gets the config checked here rather than reading the file again.
     try:
         if args.duration is not None:
             cfg.duration_us = int(round(args.duration * 1e6))
-        for seed in seeds:
-            dataclasses.replace(cfg, seed=seed).validate()
+        runs = [dataclasses.replace(cfg, seed=seed) for seed in seeds]
+        for run in runs:
+            run.validate()
     except (ValueError, OverflowError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -168,13 +167,12 @@ def _cmd_run(args) -> int:
             return None
         return args.out if len(seeds) == 1 else os.path.join(args.out, f"seed_{seed}")
 
-    if len(seeds) == 1:
-        print(_run_one(args.config, seeds[0], cfg.duration_us, out_for(seeds[0])))
+    if len(runs) == 1:
+        print(_run_one(runs[0], out_for(runs[0].seed)))
         return 0
-    jobs = args.jobs if args.jobs > 0 else min(len(seeds), os.cpu_count() or 1)
+    jobs = args.jobs if args.jobs > 0 else min(len(runs), os.cpu_count() or 1)
     with ProcessPoolExecutor(max_workers=jobs) as pool:
-        futures = [pool.submit(_run_one, args.config, s, cfg.duration_us, out_for(s))
-                   for s in seeds]
+        futures = [pool.submit(_run_one, run, out_for(run.seed)) for run in runs]
         for fut in futures:
             print(fut.result())
     return 0

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import itertools
 import random
+import re
 from dataclasses import dataclass, field
 from heapq import heappop, heappush
 from typing import Optional
@@ -122,9 +123,14 @@ class Topology:
             for i, name in enumerate(ids):
                 if name in ids[:i]:
                     raise ValueError(f"duplicate {kind} id {name!r}")
+        # _spawn_short names its flows short000001, short000002, ...
+        if self.shorts is not None and self.shorts.load_bps > 0:
+            for flow in self.flows:
+                if re.fullmatch(r"short[0-9]{6,}", flow.flow_id):
+                    raise ValueError(f"flow id {flow.flow_id!r} is reserved for short flows")
 
     def path_rtt_us(self, flow) -> SimTime:
-        """Base round trip of a FlowSpec, or of the ShortFlowLoad's transfers."""
+        """Base round trip of a FlowSpec."""
         inter = sum(h.delay_to_next_us for h in self.hops)
         return flow.fwd_delay_us + inter + flow.rev_delay_us
 
@@ -155,7 +161,6 @@ class _FlowRuntime:
     fwd_delay_us: SimTime
     rev_delay_us: SimTime
     rto_us: SimTime
-    is_short: bool = False
     rto_armed: bool = False
     prev_sample_bytes: int = 0
     delack_epoch: int = 0
@@ -180,7 +185,6 @@ class Simulation:
 
         self.routers: list = []
         self._busy: list[bool] = []
-        self._last_dequeue: list[SimTime] = []
         self.log = MetricsLog(duration_us=self.duration_us, seed=seed)
         # (HopSpec, HopStats) per hop index, for the per-packet handlers.
         self._hops: list[tuple[HopSpec, HopStats]] = []
@@ -199,13 +203,12 @@ class Simulation:
                 router = DroptailRouter(hop.hop_id, hop.buffer_pkts, hop.ecn_threshold_pkts)
             self.routers.append(router)
             self._busy.append(False)
-            self._last_dequeue.append(-1)
             stats = self.log.hop_stats[hop.hop_id] = HopStats()
             self._hops.append((hop, stats))
 
         self.flows: dict[str, _FlowRuntime] = {}
         for spec in topology.flows:
-            runtime = self._add_flow(spec.flow_id, spec)
+            runtime = self._add_flow(spec)
             self._push(spec.start_us, self._on_start, (runtime,))
             if spec.stop_us is not None:
                 self._push(spec.stop_us, self._on_stop, (runtime,))
@@ -221,19 +224,13 @@ class Simulation:
         if self.flow_sample_interval_us > 0:
             self._push(self.flow_sample_interval_us, self._on_sample, ())
 
-        self._sent = 0
-        self._delivered = 0
-        self._dropped = 0
-
     # -- setup helpers -------------------------------------------------------
 
-    def _add_flow(self, flow_id: str, spec) -> _FlowRuntime:
-        """Build a flow's sender and receiver; ``spec`` is a FlowSpec or the ShortFlowLoad."""
+    def _add_flow(self, spec: FlowSpec) -> _FlowRuntime:
+        """Build a flow's sender and receiver."""
+        flow_id = spec.flow_id
         rtt = self.topology.path_rtt_us(spec)
-        is_short = isinstance(spec, ShortFlowLoad)
-        if is_short:
-            sender = CubicSender(flow_id, spec.initial_window, rtt, bytes_budget=spec.flow_bytes)
-        elif spec.scheme == "abc":
+        if spec.scheme == "abc":
             sender = AbcSender(flow_id, spec.initial_window, rtt,
                                additive_increase=spec.additive_increase,
                                bytes_budget=spec.bytes_budget)
@@ -245,7 +242,7 @@ class Simulation:
         # purpose.
         runtime = _FlowRuntime(sender, EchoState(flow_id, self.receiver_coalesce),
                                spec.fwd_delay_us, spec.rev_delay_us,
-                               rto_us=max(4 * rtt, 500_000), is_short=is_short)
+                               rto_us=max(4 * rtt, 500_000))
         self.flows[flow_id] = runtime
         return runtime
 
@@ -284,17 +281,15 @@ class Simulation:
         if victim is not pkt:
             self._schedule_dequeue_if_idle(hop_idx)
         if victim is not None:
-            self._dropped += 1
             hop_id = self._hops[hop_idx][0].hop_id
             self.log.record_drop(DropRecord(victim.flow_id, victim.seq, hop_id, self.now))
 
     def _schedule_dequeue_if_idle(self, hop_idx: int) -> None:
         if self._busy[hop_idx]:
             return
-        link = self._hops[hop_idx][0].link
-        t = link.next_delivery(self.now)
-        if t is not None and t <= self._last_dequeue[hop_idx]:
-            t = link.next_delivery(self.now, after=True)
+        # A hop goes idle only at a wake-up strictly after its last dequeue
+        # (or for good), so an opportunity at now has not been used.
+        t = self._hops[hop_idx][0].link.next_delivery(self.now)
         if t is None:
             return
         self._busy[hop_idx] = True
@@ -307,10 +302,8 @@ class Simulation:
             return
         now = self.now
         pkt, enqueued_at = router.on_dequeue(now)
-        self._last_dequeue[hop_idx] = now
         hop, stats = self._hops[hop_idx]
         stats.dequeued_bytes += pkt.size_bytes
-        stats.dequeues += 1
         pkt.hop_trace.extend((hop.hop_id, enqueued_at, now))
         arrival = now + hop.delay_to_next_us
         if hop_idx + 1 < len(self.routers):
@@ -324,7 +317,6 @@ class Simulation:
             self._push(t, self._on_dequeue, (hop_idx,))
 
     def _on_deliver(self, pkt: Packet) -> None:
-        self._delivered += 1
         self.log.record_delivery(pkt.flow_id, pkt.seq, pkt.size_bytes, pkt.send_time,
                                  self.now, pkt.hop_trace)
         runtime = self.flows[pkt.flow_id]
@@ -350,7 +342,6 @@ class Simulation:
 
     def _dispatch_sends(self, runtime: _FlowRuntime, pkts: list[Packet]) -> None:
         for pkt in pkts:
-            self._sent += 1
             self._push(self.now + runtime.fwd_delay_us, self._on_arrive, (0, pkt))
         if runtime.sender.unacked and not runtime.rto_armed:
             runtime.rto_armed = True
@@ -376,19 +367,21 @@ class Simulation:
 
     def _spawn_short(self) -> None:
         self._short_count += 1
-        runtime = self._add_flow(f"short{self._short_count:06d}", self.topology.shorts)
-        self._dispatch_sends(runtime, runtime.sender.start(self.now))
+        load = self.topology.shorts
+        spec = FlowSpec(f"short{self._short_count:06d}", "cubic",
+                        fwd_delay_us=load.fwd_delay_us, rev_delay_us=load.rev_delay_us,
+                        initial_window=load.initial_window, bytes_budget=load.flow_bytes)
+        self._on_start(self._add_flow(spec))
 
     def _on_sample(self) -> None:
         interval = self.flow_sample_interval_us
-        for flow_id, runtime in self.flows.items():
-            if runtime.is_short:
-                continue
+        for spec in self.topology.flows:
+            runtime = self.flows[spec.flow_id]
             sender = runtime.sender
             rate = (sender.bytes_sent - runtime.prev_sample_bytes) * 8 * US_PER_S / interval
             runtime.prev_sample_bytes = sender.bytes_sent
             w_abc = round(sender.w_abc, 4) if isinstance(sender, AbcSender) else ""
-            self.log.flow_samples.setdefault(flow_id, []).append(
+            self.log.flow_samples.setdefault(spec.flow_id, []).append(
                 (self.now, w_abc, round(sender.w_cubic, 4), sender.inflight, round(rate, 1)))
         self._push(self.now + interval, self._on_sample, ())
 
@@ -400,9 +393,9 @@ class Simulation:
         moving = (self._on_arrive, self._on_deliver)
         in_flight = sum(1 for _, _, handler, _ in self._heap if handler in moving)
         return {
-            "sent": self._sent,
-            "delivered": self._delivered,
-            "dropped": self._dropped,
+            "sent": sum(rt.sender.next_seq for rt in self.flows.values()),
+            "delivered": len(self.log.seqs),
+            "dropped": len(self.log.drops),
             "queued": queued,
             "in_flight": in_flight,
         }

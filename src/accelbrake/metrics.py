@@ -60,7 +60,6 @@ class DropRecord:
 class HopStats:
     opportunity_bytes: float = 0.0
     dequeued_bytes: int = 0
-    dequeues: int = 0
     drops: int = 0
 
 

@@ -32,11 +32,9 @@ class EchoState:
         self.pending_bytes = 0
         self.highest_seq = -1
         self.ece_pending = False
-        self.delivered_bytes = 0
 
     def on_packet(self, pkt: Packet, now: SimTime) -> list[Ack]:
         """Absorb one delivered packet, returning any ACKs to emit now."""
-        self.delivered_bytes += pkt.size_bytes
         ecn = pkt.ecn
         if ecn is ECN_SET:
             self.ece_pending = True

@@ -71,7 +71,6 @@ class FlowSender:
                  base_rtt_us: SimTime = 100_000, bytes_budget: Optional[int] = None):
         self.flow_id = flow_id
         self.base_rtt_us = base_rtt_us
-        self.initial_window = float(initial_window)
         self.cubic = CubicWindow(initial_window, rtt_guard_us=base_rtt_us)
         self.next_seq = 0
         self.unacked: dict[int, tuple[int, SimTime]] = {}  # seq -> (bytes, sent_at)

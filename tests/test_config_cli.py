@@ -149,6 +149,8 @@ def test_malformed_scenarios_name_the_key(mutate, fragment):
     (lambda d: d.update(hops=d["hops"] * 2), "scenario: duplicate hop id"),
     (lambda d: d.update(seed=-1), "scenario.seed: must be >= 0, got -1"),
     (lambda d: d.update(duration_s=float("nan")), "scenario.duration_s: expected a finite"),
+    (lambda d: d.update(flows=[{"id": "short000001"}], shorts={"load_mbps": 5}),
+     "scenario: flow id 'short000001' is reserved for short flows"),
 ])
 def test_spec_rules_name_the_yaml_key(mutate, message):
     data = _scenario()
@@ -241,6 +243,20 @@ def test_cli_run_reports_hop_that_delivered_nothing(tmp_path, capsys, overrides,
 def test_cli_run_seed_override(quick_scenario, capsys):
     assert main(["run", "--config", quick_scenario, "--seed", "5"]) == 0
     assert "seed 5:" in capsys.readouterr().out
+
+
+def test_cli_run_reads_the_file_once(quick_scenario, monkeypatch, capsys):
+    # The run uses the config that was checked, not a second reading of the file.
+    calls = []
+
+    def counting_load(path):
+        calls.append(path)
+        return load_scenario(path)
+
+    monkeypatch.setattr("accelbrake.cli.load_scenario", counting_load)
+    assert main(["run", "--config", quick_scenario, "--seed", "3"]) == 0
+    assert calls == [quick_scenario]
+    assert "seed 3:" in capsys.readouterr().out
 
 
 def test_cli_run_validate_only(quick_scenario, capsys):

@@ -5,11 +5,14 @@ import re
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from accelbrake.config import load_scenario
 from accelbrake.engine import FlowSpec, HopSpec, ShortFlowLoad, Simulation, Topology
-from accelbrake.links import FixedLink
+from accelbrake.links import FixedLink, StepLink, TraceLink
 from accelbrake.router import AbcParams
+from accelbrake.sender import AbcSender
 
 SCENARIO_DIR = Path(__file__).resolve().parent.parent / "scenarios"
 
@@ -173,12 +176,67 @@ def test_simulation_names_the_invalid_spec(hop, flow, shorts, message):
         Simulation(topo, duration_us=1_000_000)
 
 
+def test_short_flow_ids_are_reserved_only_with_shorts():
+    # A scenario flow named like a short flow would be replaced by it.
+    hop = HopSpec("h", FixedLink(1e6))
+    with pytest.raises(ValueError, match="flow id 'short000001' is reserved for short flows"):
+        Simulation(Topology([hop], [FlowSpec("short000001")], ShortFlowLoad(5e6)), 1_000_000)
+    Topology([hop], [FlowSpec("short00001"), FlowSpec("short000001x")],
+             ShortFlowLoad(5e6)).validate()
+    sim = Simulation(Topology([hop], [FlowSpec("short000001")]), 1_000_000)
+    sim.run()
+    assert isinstance(sim.flows["short000001"].sender, AbcSender)
+
+
 def test_zero_short_load_counts_as_no_flow():
     # The engine never starts a zero-load stream, and the config drops it.
     hop = HopSpec("h", FixedLink(1e6))
     with pytest.raises(ValueError, match="at least one flow"):
         Topology([hop], [], ShortFlowLoad(0)).validate()
     Topology([hop], [], ShortFlowLoad(1e6)).validate()
+
+
+@st.composite
+def _random_links(draw):
+    kind = draw(st.sampled_from(["fixed", "step", "trace"]))
+    if kind == "fixed":
+        return FixedLink(draw(st.integers(1, 48)) * 1e6)
+    if kind == "step":
+        starts = sorted(draw(st.sets(st.integers(1, 999_999), max_size=3)))
+        rates = draw(st.lists(st.sampled_from([0, 0.5, 6, 24]), min_size=len(starts) + 1,
+                              max_size=len(starts) + 1))
+        return StepLink([(t, r * 1e6) for t, r in zip([0] + starts, rates)])
+    period = draw(st.integers(1, 30))
+    return TraceLink(sorted(draw(st.sets(st.integers(1, period))) | {period}))
+
+
+@st.composite
+def _random_topologies(draw):
+    delays = st.integers(0, 20_000)
+    hops = [HopSpec(f"h{i}", draw(_random_links()), kind=draw(st.sampled_from(["abc", "droptail"])),
+                    buffer_pkts=draw(st.integers(1, 20)), delay_to_next_us=draw(delays))
+            for i in range(draw(st.integers(1, 3)))]
+    flows = [FlowSpec(f"f{j}", draw(st.sampled_from(["abc", "cubic"])),
+                      start_us=draw(st.integers(0, 200_000)),
+                      fwd_delay_us=draw(delays), rev_delay_us=draw(delays))
+             for j in range(draw(st.integers(1, 3)))]
+    shorts = draw(st.none() | st.builds(ShortFlowLoad, st.sampled_from([1e6, 4e6]),
+                                        st.integers(1, 30_000), delays, delays))
+    return Topology(hops, flows, shorts)
+
+
+@settings(max_examples=25, deadline=None)
+@given(topo=_random_topologies(), seed=st.integers(0, 3))
+def test_random_topologies_dequeue_once_per_instant_and_conserve_packets(topo, seed):
+    # A hop serves at most one packet per microsecond: every wake-up is
+    # strictly later than the dequeue before it.
+    sim = Simulation(topo, duration_us=1_000_000, seed=seed)
+    log = sim.run()
+    for hop in range(len(log.hop_ids)):
+        stamps = sorted(deq for h, deq in zip(log.stamp_hops, log.dequeue_times) if h == hop)
+        assert all(a < b for a, b in zip(stamps, stamps[1:])), log.hop_ids[hop]
+    c = sim.census()
+    assert c["sent"] == c["delivered"] + c["dropped"] + c["queued"] + c["in_flight"]
 
 
 def test_negative_duration_rejected():

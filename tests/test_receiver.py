@@ -93,7 +93,12 @@ def test_reordered_arrival_keeps_highest_sequence():
 
 
 def test_byte_accounting_totals():
+    # Every delivered byte is acknowledged exactly once: by an ACK the
+    # packets trigger, or by the flush of the odd tail.
     rx = EchoState("f", coalesce=2)
+    acks = []
     for seq in range(5):
-        rx.on_packet(_pkt(seq), 100 + seq)
-    assert rx.delivered_bytes == 7500
+        acks += rx.on_packet(_pkt(seq), 100 + seq)
+    acks.append(rx.flush(200))
+    assert sum(a.bytes_newly_acked for a in acks) == 7500
+    assert rx.flush(300) is None
