@@ -17,8 +17,7 @@ from concurrent.futures import ProcessPoolExecutor
 
 from .config import ConfigError, load_scenario
 from .engine import ScenarioConfig, Simulation
-from .metrics import (MetricsLog, delays_by_hop, flow_throughputs, jain_index,
-                      nearest_rank, steady_window, utilization, write_outputs)
+from .metrics import jain_index, report, write_outputs
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -78,6 +77,11 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _write_failed(path: str, exc: OSError) -> int:
+    print(f"error: cannot write {exc.filename or path}: {exc.strerror or exc}", file=sys.stderr)
+    return 2
+
+
 # ---------------------------------------------------------------------------
 # run / validate
 
@@ -96,26 +100,19 @@ def _describe(cfg: ScenarioConfig, path: str) -> str:
     return "\n".join(lines)
 
 
-def _summarize(log: MetricsLog, topo) -> str:
-    # A hop with no delivery opportunities, or that delivered nothing, and
-    # a run too short for a steady window all report "n/a" rather than fail.
-    start, end = steady_window(log)
-    rates = flow_throughputs(log, start, end) if end > start else {}
-    long_ids = [f.flow_id for f in topo.flows]
-    lines = [f"seed {log.seed}: {len(log.deliveries)} delivered, {len(log.drops)} dropped"]
-    all_delays = delays_by_hop(log)
-    for hop_id, stats in log.hop_stats.items():
-        util = f"{utilization(log, hop_id):.3f}" if stats.opportunity_bytes > 0 else "n/a"
-        delays = all_delays[hop_id]
-        p95 = f"{nearest_rank(delays, 0.95) / 1000:.2f}ms" if delays else "n/a"
+def _summarize(rep: dict, long_ids: list) -> str:
+    # A figure the report leaves as None prints as "n/a", a long flow with no steady rate as 0.
+    lines = [f"seed {rep['seed']}: {rep['delivered_packets']} delivered, "
+             f"{rep['dropped_packets']} dropped"]
+    for hop_id, hop in rep["hops"].items():
+        util = "n/a" if hop["utilization"] is None else f"{hop['utilization']:.3f}"
+        p95 = "n/a" if hop["delay_p95_us"] is None else f"{hop['delay_p95_us'] / 1000:.2f}ms"
         lines.append(f"  hop {hop_id}: utilization {util}, "
-                     f"p95 queue delay {p95}, drops {stats.drops}")
-    for fid in long_ids:
-        lines.append(f"  flow {fid}: {rates.get(fid, 0.0) / 1e6:.3f} Mbit/s steady")
-    if len(long_ids) > 1:
-        vals = [rates.get(f, 0.0) for f in long_ids]
-        if all(v > 0 for v in vals):
-            lines.append(f"  fairness across long flows: {jain_index(vals):.4f}")
+                     f"p95 queue delay {p95}, drops {hop['drops']}")
+    rates = [rep["flows"].get(fid, 0.0) for fid in long_ids]
+    lines += [f"  flow {fid}: {bps / 1e6:.3f} Mbit/s steady" for fid, bps in zip(long_ids, rates)]
+    if len(rates) > 1 and all(v > 0 for v in rates):
+        lines.append(f"  fairness across long flows: {jain_index(rates):.4f}")
     return "\n".join(lines)
 
 
@@ -125,9 +122,8 @@ def _run_one(cfg: ScenarioConfig, out_dir) -> str:
                      log_router_rows=cfg.log_router_rows,
                      receiver_coalesce=cfg.receiver_coalesce)
     log = sim.run()
-    if out_dir is not None:
-        write_outputs(log, out_dir)
-    return _summarize(log, cfg.topology)
+    rep = report(log) if out_dir is None else write_outputs(log, out_dir)
+    return _summarize(rep, [f.flow_id for f in cfg.topology.flows])
 
 
 def _cmd_run(args) -> int:
@@ -168,14 +164,22 @@ def _cmd_run(args) -> int:
         return args.out if len(seeds) == 1 else os.path.join(args.out, f"seed_{seed}")
 
     if len(runs) == 1:
-        print(_run_one(runs[0], out_for(runs[0].seed)))
+        try:
+            print(_run_one(runs[0], out_for(runs[0].seed)))
+        except OSError as exc:
+            return _write_failed(args.out, exc)
         return 0
-    jobs = args.jobs if args.jobs > 0 else min(len(runs), os.cpu_count() or 1)
+    # A fork pool starts all max_workers processes at the first submit.
+    jobs = min(len(runs), args.jobs if args.jobs > 0 else os.cpu_count() or 1)
+    status = 0
     with ProcessPoolExecutor(max_workers=jobs) as pool:
         futures = [pool.submit(_run_one, run, out_for(run.seed)) for run in runs]
         for fut in futures:
-            print(fut.result())
-    return 0
+            try:
+                print(fut.result())
+            except OSError as exc:
+                status = _write_failed(args.out, exc)
+    return status
 
 
 def _cmd_validate(args) -> int:
@@ -220,10 +224,13 @@ def _cmd_fluid(args) -> int:
               f"(final delay {x[-1] * 1000:.3f}ms)")
     if args.out:
         import csv
-        with open(args.out, "w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(["t_s", "queue_delay_s"])
-            w.writerows(zip(map(float, t), map(float, x)))
+        try:
+            with open(args.out, "w", newline="") as fh:
+                w = csv.writer(fh)
+                w.writerow(["t_s", "queue_delay_s"])
+                w.writerows(zip(map(float, t), map(float, x)))
+        except OSError as exc:
+            return _write_failed(args.out, exc)
         print(f"trajectory written to {args.out} ({len(t)} points)")
     return 0
 
@@ -251,7 +258,10 @@ def _cmd_wifi(args) -> int:
         print(f"synthesized {len(events)} acknowledgments, "
               f"true backlogged rate {truth / 1e6:.3f} Mbit/s")
         if args.save_trace:
-            wifi.write_mac_trace(events, args.save_trace)
+            try:
+                wifi.write_mac_trace(events, args.save_trace)
+            except OSError as exc:
+                return _write_failed(args.save_trace, exc)
             print(f"trace written to {args.save_trace}")
     else:
         try:
@@ -263,7 +273,7 @@ def _cmd_wifi(args) -> int:
             print(f"error: {args.trace}: no events", file=sys.stderr)
             return 2
 
-    def report(points, label=""):
+    def print_estimate(points, label=""):
         tail = points[len(points) // 3:] or points
         mean = sum(p.capped_bps for p in tail) / len(tail)
         capped = sum(1 for p in tail if p.capped_bps < p.raw_bps) / len(tail)
@@ -281,12 +291,15 @@ def _cmd_wifi(args) -> int:
         return 2
     if args.per_user:
         for user, points in per.items():
-            report(points, label=f"user {user}: ")
+            print_estimate(points, label=f"user {user}: ")
         points = sorted((p for pts in per.values() for p in pts), key=lambda p: p.time_us)
     else:
-        report(points)
+        print_estimate(points)
     if args.out:
-        wifi.write_estimates(points, args.out)
+        try:
+            wifi.write_estimates(points, args.out)
+        except OSError as exc:
+            return _write_failed(args.out, exc)
         print(f"estimates written to {args.out}")
     return 0
 

@@ -166,9 +166,10 @@ def _parse_link(sec: _Section, base_dir: str) -> LinkProcess:
             schedule = []
             for i, row in enumerate(sec.get("segments", list, required=True)):
                 if (not isinstance(row, list) or len(row) != 2
-                        or not all(isinstance(v, (int, float)) for v in row)):
-                    raise ConfigError(
-                        f"{sec.path}.segments[{i}]: expected [start_s, rate_mbps]")
+                        or not all(isinstance(v, (int, float)) and not isinstance(v, bool)
+                                   and math.isfinite(v) for v in row)):
+                    raise ConfigError(f"{sec.path}.segments[{i}]: expected "
+                                      f"[start_s, rate_mbps] as finite numbers, got {row!r}")
                 schedule.append((int(round(row[0] * 1e6)), row[1] * 1e6))
             link = StepLink(schedule)
         else:

@@ -170,9 +170,11 @@ class Simulation:
     def __init__(self, topology: Topology, duration_us: SimTime, seed: int = 0,
                  flow_sample_interval_us: SimTime = 0, log_router_rows: bool = False,
                  receiver_coalesce: int = 2):
-        topology.validate()
-        if duration_us < 0:
-            raise ValueError(f"duration must be non-negative, got {duration_us}")
+        # The arguments obey the same rules as a scenario file's.
+        ScenarioConfig(topology, duration_us, seed=seed,
+                       sample_interval_us=flow_sample_interval_us,
+                       receiver_coalesce=receiver_coalesce,
+                       log_router_rows=log_router_rows).validate()
         self.topology = topology
         self.duration_us = int(duration_us)
         self.seed = seed

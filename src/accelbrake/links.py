@@ -48,8 +48,8 @@ class LinkProcess:
 
 class FixedLink(LinkProcess):
     def __init__(self, rate_bps: float):
-        if rate_bps <= 0:
-            raise ValueError(f"fixed link rate must be positive, got {rate_bps}")
+        if not 0 < rate_bps < math.inf:
+            raise ValueError(f"fixed link rate must be positive and finite, got {rate_bps}")
         self.rate_bps = rate_bps
         self._mtu_us = mtu_transmit_us(rate_bps)
 
@@ -77,13 +77,15 @@ class StepLink(LinkProcess):
     def __init__(self, schedule: Sequence[tuple[SimTime, float]]):
         if not schedule:
             raise ValueError("step schedule must not be empty")
+        if not all(math.isfinite(t) for t, _ in schedule):
+            raise ValueError("step schedule start times must be finite")
         starts = [int(t) for t, _ in schedule]
         if starts[0] != 0:
             raise ValueError("step schedule must start at time 0")
         if any(b <= a for a, b in zip(starts, starts[1:])):
             raise ValueError("step schedule start times must be strictly increasing")
-        if any(r < 0 for _, r in schedule):
-            raise ValueError("step schedule rates must be non-negative")
+        if not all(0 <= r < math.inf for _, r in schedule):
+            raise ValueError("step schedule rates must be finite and non-negative")
         self._starts = starts
         self._rates = [float(r) for _, r in schedule]
 
@@ -121,7 +123,9 @@ class StepLink(LinkProcess):
             if rate > 0:
                 finish = t + bits_left * US_PER_S / rate
                 if seg_end is None or finish <= seg_end:
-                    return math.ceil(finish)
+                    # At a rate where one MTU takes under a microsecond the
+                    # finish rounds to now; a chained dequeue must still move on.
+                    return max(math.ceil(finish), now + 1) if after else math.ceil(finish)
             if seg_end is None:
                 return None  # zero rate for the rest of time
             if rate > 0:

@@ -3,8 +3,8 @@
 The simulator appends one row per delivered packet (with per-hop
 enqueue/dequeue stamps), one record per drop, and per-hop byte totals.
 The functions here turn those into link utilization, queuing-delay
-percentiles, per-flow throughput, and Jain's fairness index, and write
-the CSV/summary artifacts for a scenario run.
+percentiles, per-flow throughput and Jain's fairness index, gather a run's
+figures in ``report``, and write the CSV/summary artifacts for a run.
 
 Deliveries are stored by column, so a row costs a few machine words
 instead of a record, a tuple per hop and an int object per stamp:
@@ -234,62 +234,70 @@ def steady_window(log: MetricsLog) -> tuple[SimTime, SimTime]:
     return log.duration_us // 3, log.duration_us
 
 
+def report(log: MetricsLog) -> dict:
+    """The run's figures, which summary.txt and the CLI's stdout both render.
+
+    ``hops`` is in ``hop_stats`` order; a hop's ``utilization`` is None when
+    it had no delivery opportunities, its whole-run delay percentiles None
+    when no delivered packet crossed it.  ``flows`` holds the steady-window
+    bits/s of each flow that delivered in the window (none without one).
+    """
+    start, end = steady_window(log)
+    flows = flow_throughputs(log, start, end) if end > start else {}
+    delays = delays_by_hop(log)
+    return {
+        "duration_us": log.duration_us, "seed": log.seed,
+        "delivered_packets": len(log.seqs), "dropped_packets": len(log.drops),
+        "hops": {hop_id: {
+            "dequeued_bytes": stats.dequeued_bytes, "drops": stats.drops,
+            "utilization": utilization(log, hop_id) if stats.opportunity_bytes > 0 else None,
+            "delay_p50_us": nearest_rank(delays[hop_id], 0.5) if delays[hop_id] else None,
+            "delay_p95_us": nearest_rank(delays[hop_id], 0.95) if delays[hop_id] else None,
+        } for hop_id, stats in log.hop_stats.items()},
+        "flows": flows,
+    }
+
+
 # ---------------------------------------------------------------------------
 # Output writers
 
+_CSV_HEADERS = {
+    "flows": ["time_us", "w_abc", "w_cubic", "inflight", "send_rate_bps"],
+    "routers": ["time_us", "queue", "accel_fraction", "target_rate_bps",
+                "dequeue_rate_bps", "queue_delay_us", "token", "mark"],
+}
 
-def write_outputs(log: MetricsLog, out_dir: str, extras: Optional[dict] = None) -> None:
+
+def write_outputs(log: MetricsLog, out_dir: str) -> dict:
     """Write summary.txt, flows/<id>.csv and routers/<hop>.csv under out_dir.
 
-    ``flows/`` and ``routers/`` are created only when the log holds flow or
-    router samples to write into them.
+    summary.txt renders ``report(log)``, which is returned.  ``flows/`` and
+    ``routers/`` are created only when the log holds samples to write there.
     """
     os.makedirs(out_dir, exist_ok=True)
-    _write_summary(log, os.path.join(out_dir, "summary.txt"), extras or {})
-
-    flows_dir = os.path.join(out_dir, "flows")
-    if log.flow_samples:
-        os.makedirs(flows_dir, exist_ok=True)
-    for flow_id, samples in sorted(log.flow_samples.items()):
-        with open(os.path.join(flows_dir, f"{flow_id}.csv"), "w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(["time_us", "w_abc", "w_cubic", "inflight", "send_rate_bps"])
-            w.writerows(samples)
-
-    routers_dir = os.path.join(out_dir, "routers")
-    if log.router_samples:
-        os.makedirs(routers_dir, exist_ok=True)
-    for hop_id, samples in sorted(log.router_samples.items()):
-        with open(os.path.join(routers_dir, f"{hop_id}.csv"), "w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(["time_us", "queue", "accel_fraction", "target_rate_bps",
-                        "dequeue_rate_bps", "queue_delay_us", "token", "mark"])
-            w.writerows(samples)
-
-
-def _write_summary(log: MetricsLog, path: str, extras: dict) -> None:
-    t0, t1 = steady_window(log)
-    lines = [
-        f"duration_s={log.duration_us / US_PER_S:.6f}",
-        f"seed={log.seed}",
-        f"delivered_packets={len(log.deliveries)}",
-        f"dropped_packets={len(log.drops)}",
-    ]
-    all_delays = delays_by_hop(log)
-    for hop_id, stats in sorted(log.hop_stats.items()):
+    rep = report(log)
+    # Hops sorted by id; a figure the report leaves as None gets no line.
+    lines = [f"duration_s={rep['duration_us'] / US_PER_S:.6f}"]
+    lines += [f"{key}={rep[key]}" for key in ("seed", "delivered_packets", "dropped_packets")]
+    for hop_id, hop in sorted(rep["hops"].items()):
         prefix = f"hop.{hop_id}"
-        lines.append(f"{prefix}.dequeued_bytes={stats.dequeued_bytes}")
-        lines.append(f"{prefix}.drops={stats.drops}")
-        if stats.opportunity_bytes > 0:
-            lines.append(f"{prefix}.utilization={utilization(log, hop_id):.6f}")
-        delays = all_delays[hop_id]
-        if delays:
-            lines.append(f"{prefix}.delay_p50_ms={nearest_rank(delays, 0.5) / 1000:.3f}")
-            lines.append(f"{prefix}.delay_p95_ms={nearest_rank(delays, 0.95) / 1000:.3f}")
-    if t1 > t0:
-        for flow_id, bps in sorted(flow_throughputs(log, t0, t1).items()):
-            lines.append(f"flow.{flow_id}.steady_throughput_mbps={bps / 1e6:.4f}")
-    for key, value in sorted(extras.items()):
-        lines.append(f"{key}={value}")
-    with open(path, "w") as fh:
+        lines += [f"{prefix}.{key}={hop[key]}" for key in ("dequeued_bytes", "drops")]
+        if hop["utilization"] is not None:
+            lines.append(f"{prefix}.utilization={hop['utilization']:.6f}")
+        if hop["delay_p50_us"] is not None:
+            lines.append(f"{prefix}.delay_p50_ms={hop['delay_p50_us'] / 1000:.3f}")
+            lines.append(f"{prefix}.delay_p95_ms={hop['delay_p95_us'] / 1000:.3f}")
+    for flow_id, bps in sorted(rep["flows"].items()):
+        lines.append(f"flow.{flow_id}.steady_throughput_mbps={bps / 1e6:.4f}")
+    with open(os.path.join(out_dir, "summary.txt"), "w") as fh:
         fh.write("\n".join(lines) + "\n")
+
+    for sub, samples in (("flows", log.flow_samples), ("routers", log.router_samples)):
+        if samples:
+            os.makedirs(os.path.join(out_dir, sub), exist_ok=True)
+        for name, rows in sorted(samples.items()):
+            with open(os.path.join(out_dir, sub, f"{name}.csv"), "w", newline="") as fh:
+                w = csv.writer(fh)
+                w.writerow(_CSV_HEADERS[sub])
+                w.writerows(rows)
+    return rep

@@ -1,12 +1,16 @@
 """Scenario parsing and the command-line front end."""
 
+import collections
 import copy
 import glob
+import hashlib
 import os
+from concurrent.futures import Future
 
 import pytest
 import yaml
 
+from accelbrake import cli, metrics
 from accelbrake.cli import main
 from accelbrake.config import ConfigError, load_scenario, parse_scenario
 from accelbrake.links import FixedLink, StepLink, TraceLink
@@ -120,6 +124,19 @@ def test_short_flow_section():
         (lambda d: d["hops"][0]["link"].update(type="wormhole"), "expected one of"),
         (lambda d: d["hops"][0].update(link={"type": "step", "segments": [[0, 12], "x"]}),
          "segments[1]: expected [start_s, rate_mbps]"),
+        (lambda d: d["hops"][0].update(link={"type": "step", "segments": [[0, float("nan")]]}),
+         "scenario.hops[0].link.segments[0]: expected [start_s, rate_mbps] as finite numbers"),
+        (lambda d: d["hops"][0].update(link={"type": "step", "segments": [[0, float("inf")]]}),
+         "scenario.hops[0].link.segments[0]: expected [start_s, rate_mbps] as finite numbers"),
+        (lambda d: d["hops"][0].update(
+            link={"type": "step", "segments": [[0, 12], [float("inf"), 24]]}),
+         "scenario.hops[0].link.segments[1]: expected [start_s, rate_mbps] as finite numbers"),
+        (lambda d: d["hops"][0].update(link={"type": "step", "segments": [[0, True]]}),
+         "scenario.hops[0].link.segments[0]: expected [start_s, rate_mbps] as finite numbers"),
+        (lambda d: d["hops"][0].update(link={"type": "step", "segments": [[0, 1e303]]}),
+         "scenario.hops[0].link: step schedule rates must be finite"),
+        (lambda d: d["hops"][0]["link"].update(rate_mbps=1e303),
+         "scenario.hops[0].link: fixed link rate must be positive and finite"),
         (lambda d: d.update(abc_params={"eta": 0}), "scenario.abc_params: eta"),
         (lambda d: d.update(flows=[]), "at least one flow"),
     ],
@@ -238,6 +255,11 @@ def test_cli_run_reports_hop_that_delivered_nothing(tmp_path, capsys, overrides,
     out = capsys.readouterr().out
     assert f"hop btl: utilization {util}, p95 queue delay n/a, drops 0" in out
     assert "flow f0: 0.000 Mbit/s steady" in out
+    # summary.txt leaves out what stdout prints as n/a or 0, and nothing else.
+    summary = (tmp_path / "out" / "summary.txt").read_text().splitlines()
+    expected = ["hop.btl.dequeued_bytes=0", "hop.btl.drops=0"]
+    expected += [] if util == "n/a" else [f"hop.btl.utilization={util}000"]
+    assert summary[4:] == expected
 
 
 def test_cli_run_seed_override(quick_scenario, capsys):
@@ -286,6 +308,96 @@ def test_cli_seed_sweep_across_processes(quick_scenario, tmp_path, capsys):
     assert "seed 1:" in out and "seed 2:" in out
     assert (out_dir / "seed_1" / "summary.txt").exists()
     assert (out_dir / "seed_2" / "summary.txt").exists()
+
+
+# sha256 of stdout and of summary.txt for `run --duration 2 --out D` on each
+# shipped scenario.  A change to any of these means a reported figure, its
+# rounding, or an omission rule moved.
+GOLDEN_REPORT_2S = {
+    "bottleneck_switch": ("a3a602ddb764df36794c3815f602a361fc992a3524632c121cf4238dd0ddce81",
+                          "f4aca9e9cd864c483f20b532abce9fc770ba4379f207dc597a1a5940d2e5e3bd"),
+    "coexist_shorts": ("adecdae639cc4d68c360e764a88157661641f61a0c619e99b0d1b61e38abe45f",
+                       "d50a9213e9835150c8706c28f23ff763e9110abda47f89f83796e66c69ec33a0"),
+    "fairness_four": ("b0f977361142e3d5fe58800b251b10f75860930bbbca080e55615864bb5a0af4",
+                      "ec19c2351a71972499f1883cfb355330bb37567c95640c8eca408781761d8e0c"),
+    "serial_bottlenecks": ("e40fc4b58e3981a6a3ad23c08d9139bfebcab9605704c43cfda6b7fa220bdca9",
+                           "c4f448aec02bfacb2005e70328cbe061ad15b5fcec92e61ebc75c30023b0c7e2"),
+    "single_trace": ("dd193b2db66af22488e69839468d31d1576e82f235bf7d43818b9d57846dff31",
+                     "affe12262b7a8d6be89a34d9d226e418f9d01b001e921186c786d3961461edb1"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_REPORT_2S))
+def test_cli_run_report_is_byte_identical(name, tmp_path, capsys):
+    path = os.path.join(SCENARIO_DIR, f"{name}.yaml")
+    assert main(["run", "--config", path, "--duration", "2", "--out", str(tmp_path)]) == 0
+    stdout = capsys.readouterr().out.encode()
+    summary = (tmp_path / "summary.txt").read_bytes()
+    assert (hashlib.sha256(stdout).hexdigest(),
+            hashlib.sha256(summary).hexdigest()) == GOLDEN_REPORT_2S[name]
+
+
+def test_cli_run_scans_the_log_once_per_statistic(quick_scenario, tmp_path, monkeypatch, capsys):
+    # stdout and summary.txt render one report, so each statistic runs once.
+    calls = collections.Counter()
+    for name in ("delays_by_hop", "flow_throughputs"):
+        assert not hasattr(cli, name)  # the CLI reaches them only through report()
+
+        def counting(*args, _name=name, _real=getattr(metrics, name)):
+            calls[_name] += 1
+            return _real(*args)
+        monkeypatch.setattr(metrics, name, counting)
+    assert main(["run", "--config", quick_scenario, "--out", str(tmp_path / "out")]) == 0
+    assert "seed 0:" in capsys.readouterr().out
+    assert calls == {"delays_by_hop": 1, "flow_throughputs": 1}
+
+
+@pytest.mark.parametrize("jobs, workers", [("8", 2), ("1", 1), ("0", 2)])
+def test_cli_jobs_capped_at_number_of_seeds(quick_scenario, monkeypatch, capsys, jobs, workers):
+    # A fork pool launches every worker at the first submit, so the count
+    # asked for is the count started.  This pool runs each job inline.
+    seen = []
+
+    class InlinePool:
+        def __init__(self, max_workers):
+            seen.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def submit(self, fn, *args):
+            fut = Future()
+            fut.set_result(fn(*args))
+            return fut
+
+    monkeypatch.setattr("accelbrake.cli.ProcessPoolExecutor", InlinePool)
+    monkeypatch.setattr("accelbrake.cli.os.cpu_count", lambda: 64)
+    assert main(["run", "--config", quick_scenario, "--seeds", "1,2", "--jobs", jobs,
+                 "--duration", "0.1"]) == 0
+    assert seen == [workers]
+    out = capsys.readouterr().out
+    assert "seed 1:" in out and "seed 2:" in out
+
+
+@pytest.mark.parametrize("argv", [
+    ["fluid", "--horizon-s", "1", "--out", "{bad}"],
+    ["wifi-estimate", "--generate", "--duration-s", "1", "--out", "{bad}"],
+    ["wifi-estimate", "--generate", "--duration-s", "1", "--save-trace", "{bad}"],
+    ["run", "--config", "{scn}", "--duration", "0.1", "--out", "{bad}"],
+    ["run", "--config", "{scn}", "--duration", "0.1", "--seeds", "1,2", "--jobs", "1",
+     "--out", "{bad}"],
+])
+def test_cli_unwritable_output_exits_2(quick_scenario, tmp_path, capsys, argv):
+    # A path below a regular file cannot be created, even by root.
+    (tmp_path / "f").write_text("")
+    bad = str(tmp_path / "f" / "x.csv")
+    assert main([a.format(bad=bad, scn=quick_scenario) for a in argv]) == 2
+    err = capsys.readouterr().err
+    assert f"error: cannot write {bad}: Not a directory" in err
+    assert "Traceback" not in err
 
 
 def test_cli_run_rejects_bad_seed_list(quick_scenario, capsys):

@@ -203,7 +203,8 @@ def _random_links(draw):
         return FixedLink(draw(st.integers(1, 48)) * 1e6)
     if kind == "step":
         starts = sorted(draw(st.sets(st.integers(1, 999_999), max_size=3)))
-        rates = draw(st.lists(st.sampled_from([0, 0.5, 6, 24]), min_size=len(starts) + 1,
+        # 1e15 Mbit/s serializes an MTU in far under a microsecond.
+        rates = draw(st.lists(st.sampled_from([0, 0.5, 6, 24, 1e15]), min_size=len(starts) + 1,
                               max_size=len(starts) + 1))
         return StepLink([(t, r * 1e6) for t, r in zip([0] + starts, rates)])
     period = draw(st.integers(1, 30))
@@ -243,6 +244,20 @@ def test_negative_duration_rejected():
     topo = Topology([HopSpec("h", FixedLink(1e6))], [FlowSpec("f")])
     with pytest.raises(ValueError):
         Simulation(topo, duration_us=-1)
+
+
+@pytest.mark.parametrize("kwargs, message", [
+    ({"duration_us": -1}, "duration_us: must be >= 0, got -1"),
+    ({"seed": -1}, "seed: must be >= 0, got -1"),
+    ({"flow_sample_interval_us": -5}, "sample_interval_us: must be >= 0, got -5"),
+    ({"receiver_coalesce": 0}, "receiver_coalesce: must be >= 1, got 0"),
+])
+def test_simulation_arguments_follow_scenario_rules(kwargs, message):
+    # Once a zero coalesce factor failed only at the first short flow, and a
+    # negative sample interval silently turned sampling off.
+    topo = Topology([HopSpec("h", FixedLink(1e6))], [], ShortFlowLoad(2e6))
+    with pytest.raises(ValueError, match=re.escape(message)):
+        Simulation(topo, **{"duration_us": 500_000, **kwargs})
 
 
 # sha256 over (flow, seq, deliver time, hop stamps) plus the drop list for

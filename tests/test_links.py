@@ -16,6 +16,11 @@ class TestFixedLink:
         with pytest.raises(ValueError):
             FixedLink(0)
 
+    @pytest.mark.parametrize("rate", [float("nan"), float("inf")])
+    def test_rejects_nonfinite_rate(self, rate):
+        with pytest.raises(ValueError, match="positive and finite"):
+            FixedLink(rate)
+
     def test_next_delivery_is_one_mtu_time(self):
         link = FixedLink(24e6)  # 500 us per MTU
         assert link.next_delivery(0) == 500
@@ -41,6 +46,27 @@ class TestStepLink:
             StepLink([(0, 12e6), (0, 24e6)])  # starts must increase
         with pytest.raises(ValueError):
             StepLink([(0, 12e6), (1000, -1)])
+
+    @pytest.mark.parametrize("schedule, message", [
+        ([(0, float("nan"))], "rates must be finite"),
+        ([(0, 12e6), (1000, float("inf"))], "rates must be finite"),
+        ([(0, 12e6), (float("inf"), 24e6)], "start times must be finite"),
+        ([(0, 12e6), (float("nan"), 24e6)], "start times must be finite"),
+    ])
+    def test_rejects_nonfinite_entries(self, schedule, message):
+        with pytest.raises(ValueError, match=message):
+            StepLink(schedule)
+
+    def test_chained_delivery_moves_on_at_extreme_rates(self):
+        # At 1e21 bit/s one MTU takes 1.2e-11 us, which vanishes when added
+        # to the clock; a chained dequeue must still land after now.
+        link = StepLink([(0, 1e21)])
+        assert link.next_delivery(300_000) == 300_000
+        assert link.next_delivery(300_000, after=True) == 300_001
+        # At sane rates the clamp never binds: the answer is the same either way.
+        sane = StepLink([(0, 12e6), (1_000_000, 24e6)])
+        for now in (0, 999_900, 1_000_000):
+            assert sane.next_delivery(now, after=True) == sane.next_delivery(now)
 
     def test_rate_lookup_per_segment(self):
         link = StepLink([(0, 12e6), (1_000_000, 24e6)])

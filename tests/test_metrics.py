@@ -13,6 +13,7 @@ from accelbrake.metrics import (
     flow_throughputs,
     hop_delays_us,
     jain_index,
+    report,
     steady_window,
     utilization,
     write_outputs,
@@ -137,18 +138,43 @@ def test_write_outputs_layout(tmp_path):
     log.flow_samples["f"] = [(1_000_000, 2.0, 3.0, 1, 1e6)]
     log.router_samples["h"] = [(400, "abc", 0.5, 1e6, 9e5, 400, 1.0, "ACCEL")]
     out = tmp_path / "run"
-    write_outputs(log, str(out), extras={"note": "x"})
+    assert write_outputs(log, str(out)) == report(log)
 
-    summary = (out / "summary.txt").read_text()
-    assert "seed=42" in summary
-    assert "delivered_packets=1" in summary
-    assert "hop.h.utilization=0.500000" in summary
-    assert "note=x" in summary
-
+    assert (out / "summary.txt").read_text().splitlines() == [
+        "duration_s=3.000000", "seed=42", "delivered_packets=1", "dropped_packets=0",
+        "hop.h.dequeued_bytes=5000", "hop.h.drops=0", "hop.h.utilization=0.500000",
+        "hop.h.delay_p50_ms=0.400", "hop.h.delay_p95_ms=0.400",
+        "flow.f.steady_throughput_mbps=0.0060",
+    ]
     flow_csv = (out / "flows" / "f.csv").read_text().splitlines()
     assert flow_csv[0] == "time_us,w_abc,w_cubic,inflight,send_rate_bps"
     assert len(flow_csv) == 2
-    assert os.path.exists(out / "routers" / "h.csv")
+    router_csv = (out / "routers" / "h.csv").read_text().splitlines()
+    assert router_csv[0] == ("time_us,queue,accel_fraction,target_rate_bps,dequeue_rate_bps,"
+                             "queue_delay_us,token,mark")
+    assert len(router_csv) == 2
+
+
+def test_report_leaves_missing_figures_as_none():
+    log = MetricsLog(duration_us=3_000_000, seed=7)
+    log.hop_stats["b"] = HopStats(opportunity_bytes=10_000, dequeued_bytes=3_000)
+    log.hop_stats["a"] = HopStats()  # no opportunities, nothing crossed it
+    _deliver(log, "early", 0, 900_000, [("b", 0, 700)])  # before the steady window
+    _deliver(log, "late", 0, 1_500_000, [("b", 1_000, 1_300)])
+    log.record_drop(DropRecord("late", 1, "b", 1_600_000))
+    rep = report(log)
+    assert rep == {
+        "duration_us": 3_000_000, "seed": 7, "delivered_packets": 2, "dropped_packets": 1,
+        "hops": {
+            "b": {"dequeued_bytes": 3_000, "drops": 1, "utilization": 0.3,
+                  "delay_p50_us": 300, "delay_p95_us": 700},
+            "a": {"dequeued_bytes": 0, "drops": 0, "utilization": None,
+                  "delay_p50_us": None, "delay_p95_us": None},
+        },
+        "flows": {"late": 1500 * 8 / 2.0},
+    }
+    assert list(rep["hops"]) == ["b", "a"]  # hop_stats order
+    assert report(MetricsLog())["flows"] == {}  # a zero-length run has no steady window
 
 
 def test_write_outputs_skips_empty_sample_dirs(tmp_path):
