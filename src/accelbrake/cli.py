@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import errno
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
@@ -37,8 +38,10 @@ def _build_parser() -> argparse.ArgumentParser:
     run.add_argument("--validate-only", action="store_true",
                      help="parse and validate the scenario, then exit")
 
+    # ``validate`` is ``run --validate-only`` under its own name.
     val = sub.add_parser("validate", help="check a scenario file without running it")
     val.add_argument("--config", required=True)
+    val.set_defaults(validate_only=True)
 
     fluid = sub.add_parser("fluid", help="integrate the aggregate queue-delay model")
     fluid.add_argument("--rate-mbps", type=float, default=12.0)
@@ -80,6 +83,13 @@ def _build_parser() -> argparse.ArgumentParser:
 def _write_failed(path: str, exc: OSError) -> int:
     print(f"error: cannot write {exc.filename or path}: {exc.strerror or exc}", file=sys.stderr)
     return 2
+
+
+def _make_out_dir(path: str) -> None:
+    """Create the directory ``path`` and check that files can be made in it."""
+    os.makedirs(path, exist_ok=True)
+    if not os.access(path, os.W_OK | os.X_OK):
+        raise PermissionError(errno.EACCES, os.strerror(errno.EACCES), path)
 
 
 # ---------------------------------------------------------------------------
@@ -163,6 +173,13 @@ def _cmd_run(args) -> int:
             return None
         return args.out if len(seeds) == 1 else os.path.join(args.out, f"seed_{seed}")
 
+    # An output directory that cannot be written fails here, before any run.
+    if args.out is not None:
+        try:
+            for run in runs:
+                _make_out_dir(out_for(run.seed))
+        except OSError as exc:
+            return _write_failed(args.out, exc)
     if len(runs) == 1:
         try:
             print(_run_one(runs[0], out_for(runs[0].seed)))
@@ -180,16 +197,6 @@ def _cmd_run(args) -> int:
             except OSError as exc:
                 status = _write_failed(args.out, exc)
     return status
-
-
-def _cmd_validate(args) -> int:
-    try:
-        cfg = load_scenario(args.config)
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    print(_describe(cfg, args.config))
-    return 0
 
 
 # ---------------------------------------------------------------------------
@@ -306,7 +313,7 @@ def _cmd_wifi(args) -> int:
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
-    handler = {"run": _cmd_run, "validate": _cmd_validate,
+    handler = {"run": _cmd_run, "validate": _cmd_run,
                "fluid": _cmd_fluid, "wifi-estimate": _cmd_wifi}[args.command]
     return handler(args)
 

@@ -24,7 +24,7 @@ import re
 import yaml
 
 from .engine import FlowSpec, HopSpec, ScenarioConfig, ShortFlowLoad, Topology
-from .links import FixedLink, LinkProcess, StepLink, load_trace_file
+from .links import MAX_RATE_BPS, FixedLink, LinkProcess, StepLink, load_trace_file
 from .router import AbcParams
 
 
@@ -154,6 +154,12 @@ _SCENARIO = [
 ]
 
 
+def _check_servable(where: str, rate_mbps: float) -> None:
+    if rate_mbps * 1e6 > MAX_RATE_BPS:
+        raise ConfigError(f"{where}must be <= {MAX_RATE_BPS / 1e6:g} "
+                          f"(one MTU per microsecond), got {rate_mbps:g}")
+
+
 def _parse_link(sec: _Section, base_dir: str) -> LinkProcess:
     kind = sec.get("type", str, required=True)
     if kind not in ("fixed", "step", "trace"):
@@ -161,10 +167,13 @@ def _parse_link(sec: _Section, base_dir: str) -> LinkProcess:
             f"{sec.path}.type: expected one of ['fixed', 'step', 'trace'], got {kind!r}")
     try:
         if kind == "fixed":
-            link = FixedLink(sec.get("rate_mbps", float, required=True) * 1e6)
+            rate_mbps = sec.get("rate_mbps", float, required=True)
+            link = FixedLink(rate_mbps * 1e6)
+            _check_servable(f"{sec.path}.rate_mbps: ", rate_mbps)
         elif kind == "step":
+            rows = sec.get("segments", list, required=True)
             schedule = []
-            for i, row in enumerate(sec.get("segments", list, required=True)):
+            for i, row in enumerate(rows):
                 if (not isinstance(row, list) or len(row) != 2
                         or not all(isinstance(v, (int, float)) and not isinstance(v, bool)
                                    and math.isfinite(v) for v in row)):
@@ -172,6 +181,8 @@ def _parse_link(sec: _Section, base_dir: str) -> LinkProcess:
                                       f"[start_s, rate_mbps] as finite numbers, got {row!r}")
                 schedule.append((int(round(row[0] * 1e6)), row[1] * 1e6))
             link = StepLink(schedule)
+            for i, (_, rate_mbps) in enumerate(rows):
+                _check_servable(f"{sec.path}.segments[{i}]: rate_mbps ", rate_mbps)
         else:
             rel = sec.get("file", str, required=True)
             path = rel if os.path.isabs(rel) else os.path.join(base_dir, rel)

@@ -13,6 +13,13 @@ All three answer two questions: when is the next chance to deliver one
 packet, and how many bytes of delivery opportunity does a time window
 contain.  The latter backs both link utilization accounting and the
 in-band capacity oracle that routers consult.
+
+The clock counts whole microseconds, so a link delivers at most one MTU
+per microsecond: ``MAX_RATE_BPS``, 12 Gbit/s.  A faster ``FixedLink`` or
+``StepLink`` is accepted here but still serves one packet per
+microsecond, while its delivery opportunities count the nominal rate, so
+its utilization reads at most ``MAX_RATE_BPS / rate``.  Scenario files
+reject such rates.
 """
 
 from __future__ import annotations
@@ -22,6 +29,9 @@ from bisect import bisect_left, bisect_right
 from typing import Optional, Sequence
 
 from .core import MTU_BITS, MTU_BYTES, SimTime, US_PER_MS, US_PER_S, mtu_transmit_us
+
+# The fastest rate the microsecond clock can serve: one MTU per microsecond.
+MAX_RATE_BPS = MTU_BITS * US_PER_S
 
 
 class LinkProcess:

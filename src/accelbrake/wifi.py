@@ -27,7 +27,7 @@ import random
 from bisect import bisect_right
 from collections import deque
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 from .core import SimTime, US_PER_S
 
@@ -67,8 +67,11 @@ def backlogged_projection(event: AmpduAckEvent) -> float:
 
 
 class CapacityFilter:
-    """Windowed, exponentially weighted average of rate samples.
+    """Windowed, exponentially weighted averages of two rate series.
 
+    Each sample carries two values taken at the same time (the estimator
+    feeds it the backlogged projection and the dequeue rate), so one
+    window serves both and every sample's weight is worked out once.
     Samples older than ``window_us`` are dropped; within the window the
     weight halves every ``window_us / 2`` of age, so the estimate leans on
     the freshest acknowledgments without chasing single batches.
@@ -78,12 +81,13 @@ class CapacityFilter:
         if window_us <= 0:
             raise ValueError(f"filter window must be positive, got {window_us}")
         self.window_us = int(window_us)
-        self._samples: deque[tuple[float, float]] = deque()
+        self._samples: deque[tuple[float, float, float]] = deque()
 
-    def add(self, time_us: float, value: float) -> None:
-        self._samples.append((time_us, value))
+    def add(self, time_us: float, first: float, second: float) -> None:
+        self._samples.append((time_us, first, second))
 
-    def value(self, now_us: float) -> Optional[float]:
+    def value(self, now_us: float) -> Optional[tuple[float, float]]:
+        """The two weighted averages at ``now_us``, or None if the window is empty."""
         cutoff = now_us - self.window_us
         samples = self._samples
         while samples and samples[0][0] < cutoff:
@@ -91,12 +95,13 @@ class CapacityFilter:
         if not samples:
             return None
         half_life = self.window_us / 2.0
-        num = den = 0.0
-        for t, v in samples:
+        num_first = num_second = den = 0.0
+        for t, first, second in samples:
             w = 0.5 ** ((now_us - t) / half_life)
-            num += w * v
+            num_first += w * first
+            num_second += w * second
             den += w
-        return num / den
+        return num_first / den, num_second / den
 
 
 @dataclass(slots=True)
@@ -109,10 +114,18 @@ class EstimatePoint:
 
 def _estimate_stream(events, window_us: SimTime, cap_factor: float,
                      recompute_inter_ack: bool) -> list[EstimatePoint]:
+    """Filtered projection, dequeue rate and capped estimate at every event.
+
+    Both series share one window.  Each of its samples gets one weight,
+    the same ``0.5 ** (age / half_life)`` a separate filter per series
+    would compute, and each average accumulates its products and the
+    weights in window order from 0.0, exactly as such a filter would.  So
+    the estimates are bit-identical to filtering each series on its own.
+    """
     if not cap_factor > 0:
         raise ValueError(f"cap factor must be positive, got {cap_factor}")
-    raw_filter = CapacityFilter(window_us)
-    rate_filter = CapacityFilter(window_us)
+    window = CapacityFilter(window_us)
+    add, value = window.add, window.value
     prev_time: Optional[float] = None
     out: list[EstimatePoint] = []
     for ev in events:
@@ -124,10 +137,8 @@ def _estimate_stream(events, window_us: SimTime, cap_factor: float,
                                ev.phy_rate_bps, ev.max_batch,
                                ev.time_us - prev_time, ev.user)
             prev_time = ev.time_us
-        raw_filter.add(ev.time_us, backlogged_projection(ev))
-        rate_filter.add(ev.time_us, instantaneous_rate(ev))
-        raw = raw_filter.value(ev.time_us)
-        current = rate_filter.value(ev.time_us)
+        add(ev.time_us, backlogged_projection(ev), instantaneous_rate(ev))
+        raw, current = value(ev.time_us)
         out.append(EstimatePoint(int(ev.time_us), raw, current,
                                  min(raw, cap_factor * current)))
     return out
@@ -174,13 +185,24 @@ class OverheadModel:
         if self.std_us < 0:
             raise ValueError("overhead deviation must be non-negative")
 
-    def sample(self, rng: random.Random) -> float:
+    def sampler(self, rng: random.Random) -> Callable[[], float]:
+        """A function drawing one overhead from ``rng`` per call.
+
+        The log-normal's parameters are worked out here, once, rather than
+        on every draw.
+        """
         if self.std_us == 0:
-            return self.mean_us
+            mean = self.mean_us
+            return lambda: mean
         m = self.mean_us - self.floor_us
         sigma2 = math.log(1.0 + (self.std_us / m) ** 2)
         mu = math.log(m) - sigma2 / 2.0
-        return self.floor_us + rng.lognormvariate(mu, math.sqrt(sigma2))
+        sigma = math.sqrt(sigma2)
+        floor, lognormvariate = self.floor_us, rng.lognormvariate
+        return lambda: floor + lognormvariate(mu, sigma)
+
+    def sample(self, rng: random.Random) -> float:
+        return self.sampler(rng)()
 
 
 @dataclass
@@ -230,28 +252,30 @@ def generate_mac_trace(profile: LinkProfile, offered_load_bps: float,
         if offered_load_bps > 2.0 * profile.true_capacity(r):
             raise ValueError("offered load exceeds twice the link capacity")
     starts = [s for s, _ in schedule]
+    rates = [r for _, r in schedule]
 
-    rng = random.Random(seed)
+    overhead = profile.overhead.sampler(random.Random(seed))
+    max_batch, frame_bits = profile.max_batch, profile.frame_bits
     duration_us = duration_s * US_PER_S
-    arrivals_per_us = offered_load_bps / profile.frame_bits / US_PER_S
-    backlog_cap = 50.0 * profile.max_batch
+    arrivals_per_us = offered_load_bps / frame_bits / US_PER_S
+    backlog_cap = 50.0 * max_batch
     t = 0.0
     backlog = 0.0
     prev_ack = 0.0
     events: list[AmpduAckEvent] = []
+    append = events.append
     while True:
         if backlog < 1.0:
             t += (1.0 - backlog) / arrivals_per_us
             backlog = 1.0
-        phy = schedule[bisect_right(starts, t / US_PER_S) - 1][1]
-        b = min(profile.max_batch, int(backlog))
-        airtime = b * profile.frame_bits * US_PER_S / phy + profile.overhead.sample(rng)
+        phy = rates[bisect_right(starts, t / US_PER_S) - 1]
+        b = min(max_batch, int(backlog))
+        airtime = b * frame_bits * US_PER_S / phy + overhead()
         t += airtime
         if t > duration_us:
             return events
         backlog = min(backlog + arrivals_per_us * airtime - b, backlog_cap)
-        events.append(AmpduAckEvent(int(t), b, profile.frame_bits, phy,
-                                    profile.max_batch, t - prev_ack, user))
+        append(AmpduAckEvent(int(t), b, frame_bits, phy, max_batch, t - prev_ack, user))
         prev_ack = t
 
 

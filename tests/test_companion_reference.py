@@ -1,0 +1,283 @@
+"""The companion tools against the step-at-a-time versions they replaced.
+
+``_reference_integrate`` is the Euler loop that advanced the fluid model
+one step at a time, ``_ReferenceFilter`` the single-series filter the
+estimator ran once per series, and ``_reference_generate`` the generator
+that worked out the log-normal's parameters on every draw.  The faster
+code must give bit-identical results: equal bytes for the trajectories,
+equal floats for every event and estimate.
+"""
+
+import dataclasses
+import math
+import random
+from bisect import bisect_right
+from collections import deque
+
+import numpy as np
+from hypothesis import Phase, example, given, settings
+from hypothesis import strategies as st
+
+from accelbrake.core import US_PER_S
+from accelbrake.fluid import FluidParams, integrate
+from accelbrake.wifi import (
+    AmpduAckEvent,
+    EstimatePoint,
+    LinkProfile,
+    OverheadModel,
+    backlogged_projection,
+    estimate_capacity,
+    estimate_capacity_per_user,
+    generate_mac_trace,
+    instantaneous_rate,
+    merge_user_streams,
+)
+
+# ------------------------------------------------------------------- fluid
+
+
+def _reference_integrate(params, history, horizon_s, step_s):
+    lag = max(1, round(params.tau_s / step_s))
+    n = int(math.ceil(horizon_s / step_s))
+    hist = history if callable(history) else (lambda _t, v=float(history): v)
+
+    t = np.arange(n + 1) * step_s
+    x = np.empty(n + 1)
+    x[0] = max(0.0, hist(0.0))
+    a = params.drift
+    inv_delta = 1.0 / params.delta_s
+    d_t = params.target_delay_s
+    for i in range(n):
+        if i - lag >= 0:
+            delayed = x[i - lag]
+        else:
+            delayed = max(0.0, hist((i - lag) * step_s))
+        x[i + 1] = max(0.0, x[i] + step_s * (a - inv_delta * max(delayed - d_t, 0.0)))
+    return t, x
+
+
+class _RecordingHistory:
+    """x(s) = level + slope * s + swing * sin(s / period), noting every call."""
+
+    def __init__(self, level, slope, swing, period):
+        self.level, self.slope, self.swing, self.period = level, slope, swing, period
+        self.calls = []
+
+    def __call__(self, s):
+        self.calls.append(s)
+        return self.level + self.slope * s + self.swing * math.sin(s / self.period)
+
+
+# Steps per round trip: 50 (the coarsest allowed), the default 100, and
+# divisors that leave tau/step off an integer.
+_steps_per_tau = st.one_of(st.sampled_from([50.0, 100.0, 77.7, 133.3]),
+                           st.floats(50.0, 400.0))
+_history = st.one_of(
+    st.floats(-0.1, 0.5),
+    st.tuples(st.floats(-0.2, 0.4), st.floats(-2.0, 2.0), st.floats(0.0, 0.3),
+              st.floats(0.001, 0.1)),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(eta=st.floats(0.5, 1.2), n_flows=st.integers(0, 64),
+       mu_bps=st.floats(1e5, 1e8), tau_s=st.floats(0.005, 0.3),
+       delta_per_tau=st.floats(0.05, 3.0), target_delay_s=st.floats(0.0, 0.1),
+       ai_interval_s=st.floats(0.01, 0.5), history=_history,
+       horizon_per_tau=st.floats(0.05, 40.0), steps_per_tau=_steps_per_tau)
+# The queue drains and clamps at 0 (negative drift).
+@example(eta=0.9, n_flows=0, mu_bps=24e6, tau_s=0.1, delta_per_tau=1.33,
+         target_delay_s=0.05, ai_interval_s=0.1, history=0.3,
+         horizon_per_tau=20.0, steps_per_tau=100.0)
+# delta < 2 tau / 3: the queue oscillates and empties over and over.
+@example(eta=0.98, n_flows=16, mu_bps=24e6, tau_s=0.1, delta_per_tau=0.2,
+         target_delay_s=0.05, ai_interval_s=0.1, history=0.0,
+         horizon_per_tau=40.0, steps_per_tau=50.0)
+# A callable history that goes negative, a horizon shorter than tau.
+@example(eta=0.98, n_flows=4, mu_bps=12e6, tau_s=0.1, delta_per_tau=1.0,
+         target_delay_s=0.05, ai_interval_s=0.1, history=(0.05, 3.0, 0.2, 0.01),
+         horizon_per_tau=0.5, steps_per_tau=77.7)
+def test_integrate_matches_reference(eta, n_flows, mu_bps, tau_s, delta_per_tau,
+                                     target_delay_s, ai_interval_s, history,
+                                     horizon_per_tau, steps_per_tau):
+    params = FluidParams(eta=eta, delta_s=delta_per_tau * tau_s,
+                         target_delay_s=target_delay_s, n_flows=n_flows,
+                         mu_bps=mu_bps, tau_s=tau_s, ai_interval_s=ai_interval_s)
+    step_s = tau_s / steps_per_tau
+    horizon_s = horizon_per_tau * tau_s
+    if isinstance(history, tuple):
+        new_hist, ref_hist = _RecordingHistory(*history), _RecordingHistory(*history)
+    else:
+        new_hist = ref_hist = history
+    t, x = integrate(params, new_hist, horizon_s, step_s)
+    t_ref, x_ref = _reference_integrate(params, ref_hist, horizon_s, step_s)
+    assert t.tobytes() == t_ref.tobytes()
+    assert x.tobytes() == x_ref.tobytes()
+    if isinstance(history, tuple):
+        assert new_hist.calls == ref_hist.calls
+
+
+# -------------------------------------------------------------------- wifi
+
+
+def _bits(records):
+    """Every field of every event or estimate, floats as their exact hex."""
+    return [tuple(v.hex() if isinstance(v, float) else v for v in dataclasses.astuple(r))
+            for r in records]
+
+
+def _assert_same(got, want):
+    """Assert equal records bit for bit, naming the first one that differs."""
+    got, want = _bits(got), _bits(want)
+    for i, (g, w) in enumerate(zip(got, want)):
+        assert g == w, f"record {i} differs"
+    assert len(got) == len(want)
+
+
+class _ReferenceFilter:
+    def __init__(self, window_us):
+        self.window_us = int(window_us)
+        self._samples = deque()
+
+    def add(self, time_us, value):
+        self._samples.append((time_us, value))
+
+    def value(self, now_us):
+        cutoff = now_us - self.window_us
+        samples = self._samples
+        while samples and samples[0][0] < cutoff:
+            samples.popleft()
+        if not samples:
+            return None
+        half_life = self.window_us / 2.0
+        num = den = 0.0
+        for t, v in samples:
+            w = 0.5 ** ((now_us - t) / half_life)
+            num += w * v
+            den += w
+        return num / den
+
+
+def _reference_stream(events, window_us, cap_factor, recompute_inter_ack):
+    raw_filter = _ReferenceFilter(window_us)
+    rate_filter = _ReferenceFilter(window_us)
+    prev_time = None
+    out = []
+    for ev in events:
+        if recompute_inter_ack:
+            if prev_time is None:
+                prev_time = ev.time_us
+                continue
+            ev = AmpduAckEvent(ev.time_us, ev.batch_frames, ev.frame_bits,
+                               ev.phy_rate_bps, ev.max_batch,
+                               ev.time_us - prev_time, ev.user)
+            prev_time = ev.time_us
+        raw_filter.add(ev.time_us, backlogged_projection(ev))
+        rate_filter.add(ev.time_us, instantaneous_rate(ev))
+        raw = raw_filter.value(ev.time_us)
+        current = rate_filter.value(ev.time_us)
+        out.append(EstimatePoint(int(ev.time_us), raw, current,
+                                 min(raw, cap_factor * current)))
+    return out
+
+
+def _reference_sample(model, rng):
+    if model.std_us == 0:
+        return model.mean_us
+    m = model.mean_us - model.floor_us
+    sigma2 = math.log(1.0 + (model.std_us / m) ** 2)
+    mu = math.log(m) - sigma2 / 2.0
+    return model.floor_us + rng.lognormvariate(mu, math.sqrt(sigma2))
+
+
+def _reference_generate(profile, offered_load_bps, duration_s, seed, rate_schedule, user):
+    schedule = [(0.0, profile.phy_rate_bps)] if rate_schedule is None \
+        else [(float(a), float(b)) for a, b in rate_schedule]
+    starts = [s for s, _ in schedule]
+    rng = random.Random(seed)
+    duration_us = duration_s * US_PER_S
+    arrivals_per_us = offered_load_bps / profile.frame_bits / US_PER_S
+    backlog_cap = 50.0 * profile.max_batch
+    t = 0.0
+    backlog = 0.0
+    prev_ack = 0.0
+    events = []
+    while True:
+        if backlog < 1.0:
+            t += (1.0 - backlog) / arrivals_per_us
+            backlog = 1.0
+        phy = schedule[bisect_right(starts, t / US_PER_S) - 1][1]
+        b = min(profile.max_batch, int(backlog))
+        airtime = b * profile.frame_bits * US_PER_S / phy + _reference_sample(profile.overhead, rng)
+        t += airtime
+        if t > duration_us:
+            return events
+        backlog = min(backlog + arrivals_per_us * airtime - b, backlog_cap)
+        events.append(AmpduAckEvent(int(t), b, profile.frame_bits, phy,
+                                    profile.max_batch, t - prev_ack, user))
+        prev_ack = t
+
+
+def _profiles():
+    overhead = st.builds(
+        lambda floor, excess, std: OverheadModel(floor + excess, std, floor),
+        st.floats(0.0, 500.0), st.floats(50.0, 2_000.0),
+        st.one_of(st.just(0.0), st.floats(1.0, 800.0)))
+    return st.builds(LinkProfile, st.floats(6e6, 300e6), st.integers(1, 64),
+                     st.sampled_from([4_000, 8_000, 12_000]), overhead)
+
+
+_schedules = st.one_of(
+    st.none(),
+    st.lists(st.tuples(st.floats(0.01, 1.5), st.floats(6e6, 300e6)), min_size=1, max_size=4)
+    .map(lambda steps: [(0.0, steps[0][1])] + sorted(steps[1:])),
+)
+
+# Shrinking a failing trace of thousands of events takes minutes; the
+# first failing example, with the index of its first differing record,
+# says enough.
+_NO_SHRINK = [Phase.explicit, Phase.reuse, Phase.generate]
+
+
+@settings(max_examples=100, deadline=None, phases=_NO_SHRINK)
+@given(profile=_profiles(), load_share=st.floats(0.05, 1.9), duration_s=st.floats(0.01, 1.5),
+       seed=st.integers(0, 2**32 - 1), schedule=_schedules, user=st.integers(0, 3),
+       window_us=st.one_of(st.sampled_from([40_000, 1_000, 1]), st.integers(1, 200_000)),
+       cap_factor=st.floats(0.1, 4.0))
+def test_generate_and_estimate_match_reference(profile, load_share, duration_s, seed,
+                                               schedule, user, window_us, cap_factor):
+    rates = [profile.phy_rate_bps] if schedule is None else [r for _, r in schedule]
+    load = load_share * min(profile.true_capacity(r) for r in rates)
+    events = generate_mac_trace(profile, load, duration_s, seed=seed,
+                                rate_schedule=schedule, user=user)
+    _assert_same(events, _reference_generate(profile, load, duration_s, seed, schedule, user))
+    _assert_same(estimate_capacity(events, window_us, cap_factor),
+                 _reference_stream(events, window_us, cap_factor, recompute_inter_ack=False))
+
+
+def test_constant_overhead_and_short_window_match_reference():
+    # std_us = 0 draws nothing from the generator; a 1 ms window is shorter
+    # than most inter-ACK gaps here, so each estimate sees one sample.
+    profile = LinkProfile(24e6, 8, 12_000, OverheadModel(1_500, 0.0, 300))
+    events = generate_mac_trace(profile, 10e6, 2.0, seed=3)
+    _assert_same(events, _reference_generate(profile, 10e6, 2.0, 3, None, 0))
+    for window_us in (1_000, 40_000):
+        _assert_same(estimate_capacity(events, window_us),
+                     _reference_stream(events, window_us, 2.0, recompute_inter_ack=False))
+
+
+@settings(max_examples=30, deadline=None, phases=_NO_SHRINK)
+@given(seeds=st.lists(st.integers(0, 1_000), min_size=2, max_size=4),
+       window_us=st.sampled_from([500, 40_000, 100_000]))
+def test_per_user_estimates_match_reference(seeds, window_us):
+    profile = LinkProfile(72e6, 16, 12_000, OverheadModel(1_000, 200, 200))
+    streams = [generate_mac_trace(profile, 8e6, 0.5, seed=s, user=u)
+               for u, s in enumerate(seeds)]
+    merged = merge_user_streams(*streams)
+    by_user = {}
+    for ev in merged:
+        by_user.setdefault(ev.user, []).append(ev)
+    got = estimate_capacity_per_user(merged, window_us)
+    assert list(got) == sorted(by_user)
+    for u, evs in by_user.items():
+        _assert_same(got[u], _reference_stream(evs, window_us, 2.0, recompute_inter_ack=True))

@@ -88,6 +88,15 @@ def test_step_link_segments():
     assert link.rate_at(1_500_000) == 24e6
 
 
+def test_link_rates_up_to_one_mtu_per_microsecond():
+    # 12000 Mbit/s serializes one 1500-byte packet in exactly 1 us.
+    for link in ({"type": "fixed", "rate_mbps": 12_000},
+                 {"type": "step", "segments": [[0, 24], [1, 12_000]]}):
+        data = _scenario()
+        data["hops"][0]["link"] = link
+        assert parse_scenario(data).topology.hops[0].link.rate_at(2_000_000) == 12e9
+
+
 def test_trace_link_resolved_against_scenario_dir(tmp_path):
     (tmp_path / "cell.txt").write_text("5\n10\n")
     data = _scenario()
@@ -137,6 +146,11 @@ def test_short_flow_section():
          "scenario.hops[0].link: step schedule rates must be finite"),
         (lambda d: d["hops"][0]["link"].update(rate_mbps=1e303),
          "scenario.hops[0].link: fixed link rate must be positive and finite"),
+        (lambda d: d["hops"][0]["link"].update(rate_mbps=48_000),
+         "scenario.hops[0].link.rate_mbps: must be <= 12000 (one MTU per microsecond), "
+         "got 48000"),
+        (lambda d: d["hops"][0].update(link={"type": "step", "segments": [[0, 12], [1, 12_001]]}),
+         "scenario.hops[0].link.segments[1]: rate_mbps must be <= 12000"),
         (lambda d: d.update(abc_params={"eta": 0}), "scenario.abc_params: eta"),
         (lambda d: d.update(flows=[]), "at least one flow"),
     ],
@@ -286,6 +300,17 @@ def test_cli_run_validate_only(quick_scenario, capsys):
     assert "ok" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("data", [MINIMAL, _scenario(duration_s="ten"), None])
+def test_cli_validate_is_run_validate_only(tmp_path, capsys, data):
+    path = str(tmp_path / "missing.yaml") if data is None else _write_scenario(tmp_path, data)
+    results = []
+    for argv in (["validate", "--config", path], ["run", "--config", path, "--validate-only"]):
+        code = main(argv)
+        results.append((code, *capsys.readouterr()))
+    assert results[0] == results[1]
+    assert results[0][0] == (0 if data is MINIMAL else 2)
+
+
 @pytest.mark.parametrize("args, message", [
     (["--duration", "-1"], "error: duration_us: must be >= 0, got -1000000"),
     (["--seed", "-1"], "error: seed: must be >= 0, got -1"),
@@ -382,6 +407,15 @@ def test_cli_jobs_capped_at_number_of_seeds(quick_scenario, monkeypatch, capsys,
     assert "seed 1:" in out and "seed 2:" in out
 
 
+@pytest.fixture
+def no_simulation(monkeypatch):
+    """An unwritable --out must fail before anything is simulated."""
+    def run(self):
+        raise AssertionError("simulated before checking the output directory")
+
+    monkeypatch.setattr(cli.Simulation, "run", run)
+
+
 @pytest.mark.parametrize("argv", [
     ["fluid", "--horizon-s", "1", "--out", "{bad}"],
     ["wifi-estimate", "--generate", "--duration-s", "1", "--out", "{bad}"],
@@ -390,7 +424,7 @@ def test_cli_jobs_capped_at_number_of_seeds(quick_scenario, monkeypatch, capsys,
     ["run", "--config", "{scn}", "--duration", "0.1", "--seeds", "1,2", "--jobs", "1",
      "--out", "{bad}"],
 ])
-def test_cli_unwritable_output_exits_2(quick_scenario, tmp_path, capsys, argv):
+def test_cli_unwritable_output_exits_2(quick_scenario, tmp_path, capsys, no_simulation, argv):
     # A path below a regular file cannot be created, even by root.
     (tmp_path / "f").write_text("")
     bad = str(tmp_path / "f" / "x.csv")
@@ -398,6 +432,14 @@ def test_cli_unwritable_output_exits_2(quick_scenario, tmp_path, capsys, argv):
     err = capsys.readouterr().err
     assert f"error: cannot write {bad}: Not a directory" in err
     assert "Traceback" not in err
+
+
+def test_cli_unwritable_existing_directory_exits_2(quick_scenario, tmp_path, capsys,
+                                                  no_simulation, monkeypatch):
+    # Root may write anywhere, so the directory's permissions are faked.
+    monkeypatch.setattr(cli.os, "access", lambda path, mode: False)
+    assert main(["run", "--config", quick_scenario, "--out", str(tmp_path)]) == 2
+    assert f"error: cannot write {tmp_path}: Permission denied" in capsys.readouterr().err
 
 
 def test_cli_run_rejects_bad_seed_list(quick_scenario, capsys):

@@ -68,17 +68,17 @@ def test_filter_rejects_bad_window():
 
 def test_filter_halves_weight_per_half_window():
     f = CapacityFilter(40_000)
-    f.add(0, 10.0)
-    f.add(20_000, 20.0)
+    f.add(0, 10.0, 1.0)
+    f.add(20_000, 20.0, 4.0)
     # The older sample is one half-life old: weight 0.5 against 1.0.
-    assert f.value(20_000) == pytest.approx((0.5 * 10 + 20) / 1.5)
+    assert f.value(20_000) == pytest.approx(((0.5 * 10 + 20) / 1.5, (0.5 * 1 + 4) / 1.5))
 
 
 def test_filter_drops_samples_outside_window():
     f = CapacityFilter(40_000)
-    f.add(0, 10.0)
-    f.add(20_000, 20.0)
-    assert f.value(40_001) == pytest.approx(20.0)
+    f.add(0, 10.0, 1.0)
+    f.add(20_000, 20.0, 4.0)
+    assert f.value(40_001) == pytest.approx((20.0, 4.0))
     assert f.value(60_001) is None
 
 
