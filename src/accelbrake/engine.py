@@ -154,7 +154,12 @@ class ScenarioConfig:
 
 @dataclass
 class _FlowRuntime:
-    """Everything the engine keeps for one flow: both ends and their timers."""
+    """Everything the engine keeps for one flow: both ends and their timers.
+
+    ``live`` counts the flow's packets that are queued at a hop or on
+    their way to one or to the receiver: sent, and neither delivered nor
+    dropped.
+    """
 
     sender: FlowSender
     echo: EchoState
@@ -164,9 +169,21 @@ class _FlowRuntime:
     rto_armed: bool = False
     prev_sample_bytes: int = 0
     delack_epoch: int = 0
+    short: bool = False
+    live: int = 0
 
 
 class Simulation:
+    """One run of a topology for ``duration_us`` simulated microseconds.
+
+    ``flows`` maps a flow id to its runtime.  It holds every long flow of
+    the topology and the short flows that are not finished yet: a short
+    flow is retired from it once its sender is done and none of its
+    packets is queued or in flight (see ``_retire_if_finished``), so the
+    memory a run keeps follows the transfers still under way.
+    ``census()`` still counts the packets retired flows sent.
+    """
+
     def __init__(self, topology: Topology, duration_us: SimTime, seed: int = 0,
                  flow_sample_interval_us: SimTime = 0, log_router_rows: bool = False,
                  receiver_coalesce: int = 2):
@@ -209,6 +226,7 @@ class Simulation:
             self._hops.append((hop, stats))
 
         self.flows: dict[str, _FlowRuntime] = {}
+        self._retired_sent = 0  # next_seq summed over retired short flows
         for spec in topology.flows:
             runtime = self._add_flow(spec)
             self._push(spec.start_us, self._on_start, (runtime,))
@@ -228,7 +246,7 @@ class Simulation:
 
     # -- setup helpers -------------------------------------------------------
 
-    def _add_flow(self, spec: FlowSpec) -> _FlowRuntime:
+    def _add_flow(self, spec: FlowSpec, short: bool = False) -> _FlowRuntime:
         """Build a flow's sender and receiver."""
         flow_id = spec.flow_id
         rtt = self.topology.path_rtt_us(spec)
@@ -244,7 +262,7 @@ class Simulation:
         # purpose.
         runtime = _FlowRuntime(sender, EchoState(flow_id, self.receiver_coalesce),
                                spec.fwd_delay_us, spec.rev_delay_us,
-                               rto_us=max(4 * rtt, 500_000))
+                               rto_us=max(4 * rtt, 500_000), short=short)
         self.flows[flow_id] = runtime
         return runtime
 
@@ -285,6 +303,10 @@ class Simulation:
         if victim is not None:
             hop_id = self._hops[hop_idx][0].hop_id
             self.log.record_drop(DropRecord(victim.flow_id, victim.seq, hop_id, self.now))
+            runtime = self.flows[victim.flow_id]
+            runtime.live -= 1
+            if not runtime.live:
+                self._retire_if_finished(runtime)
 
     def _schedule_dequeue_if_idle(self, hop_idx: int) -> None:
         if self._busy[hop_idx]:
@@ -322,6 +344,7 @@ class Simulation:
         self.log.record_delivery(pkt.flow_id, pkt.seq, pkt.size_bytes, pkt.send_time,
                                  self.now, pkt.hop_trace)
         runtime = self.flows[pkt.flow_id]
+        runtime.live -= 1
         acks = runtime.echo.on_packet(pkt, self.now)
         if acks:
             runtime.delack_epoch += 1
@@ -330,6 +353,8 @@ class Simulation:
         elif runtime.echo.pending_count > 0:
             self._push(self.now + DELACK_TIMEOUT_US, self._on_delack,
                        (runtime, runtime.delack_epoch))
+        if not runtime.live:
+            self._retire_if_finished(runtime)
 
     def _on_delack(self, runtime: _FlowRuntime, epoch: int) -> None:
         if runtime.delack_epoch != epoch:
@@ -343,11 +368,15 @@ class Simulation:
         self._dispatch_sends(runtime, runtime.sender.on_ack(ack, self.now))
 
     def _dispatch_sends(self, runtime: _FlowRuntime, pkts: list[Packet]) -> None:
+        runtime.live += len(pkts)
         for pkt in pkts:
             self._push(self.now + runtime.fwd_delay_us, self._on_arrive, (0, pkt))
         if runtime.sender.unacked and not runtime.rto_armed:
             runtime.rto_armed = True
             self._push(self.now + runtime.rto_us, self._on_rto, (runtime,))
+        # After an ACK or a timeout, the sender may have just finished.
+        if not runtime.live:
+            self._retire_if_finished(runtime)
 
     def _on_rto(self, runtime: _FlowRuntime) -> None:
         sender = runtime.sender
@@ -361,6 +390,24 @@ class Simulation:
         runtime.rto_armed = False
         self._dispatch_sends(runtime, sender.on_timeout(self.now))
 
+    def _retire_if_finished(self, runtime: _FlowRuntime) -> None:
+        """Delete a finished short flow, none of whose packets is live, from ``flows``.
+
+        Nothing can look the flow up again: ``_on_deliver`` and the drop
+        path find a runtime through a live packet, and a sender that is
+        done has spent its budget, so it never transmits again.  Its
+        pending ACK, delayed-ACK and RTO events hold the runtime itself and
+        still run as before; they send nothing, so retiring a flow changes
+        no event.  A late event may call this again on a retired runtime,
+        which the registration check makes harmless.  A flow whose window
+        ever broke the cap stays, so its ``cap_violations`` stays visible.
+        """
+        sender = runtime.sender
+        if (runtime.short and sender.done() and not sender.cap_violations
+                and self.flows.get(sender.flow_id) is runtime):
+            del self.flows[sender.flow_id]
+            self._retired_sent += sender.next_seq
+
     # -- housekeeping ----------------------------------------------------------
 
     def _on_weights(self, router: AbcRouter) -> None:
@@ -373,7 +420,7 @@ class Simulation:
         spec = FlowSpec(f"short{self._short_count:06d}", "cubic",
                         fwd_delay_us=load.fwd_delay_us, rev_delay_us=load.rev_delay_us,
                         initial_window=load.initial_window, bytes_budget=load.flow_bytes)
-        self._on_start(self._add_flow(spec))
+        self._on_start(self._add_flow(spec, short=True))
 
     def _on_sample(self) -> None:
         interval = self.flow_sample_interval_us
@@ -390,12 +437,16 @@ class Simulation:
     # -- diagnostics ------------------------------------------------------------
 
     def census(self) -> dict:
-        """Packet conservation snapshot: sent = delivered + dropped + queued + in flight."""
+        """Packet conservation snapshot: sent = delivered + dropped + queued + in flight.
+
+        ``sent`` includes the packets of short flows already retired from
+        ``flows``; ``in_flight`` is counted from the event heap.
+        """
         queued = sum(r.backlog() for r in self.routers)
         moving = (self._on_arrive, self._on_deliver)
         in_flight = sum(1 for _, _, handler, _ in self._heap if handler in moving)
         return {
-            "sent": sum(rt.sender.next_seq for rt in self.flows.values()),
+            "sent": self._retired_sent + sum(rt.sender.next_seq for rt in self.flows.values()),
             "delivered": len(self.log.seqs),
             "dropped": len(self.log.drops),
             "queued": queued,

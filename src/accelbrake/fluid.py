@@ -98,8 +98,10 @@ def integrate(params: FluidParams,
     ones, and folded onto x with ``np.add.accumulate``, a strict
     left-to-right sum like the scalar loop's.  The clamp at 0 is the
     identity while every partial sum stays positive; a block where one
-    does not (or is NaN) is redone step by step.  The result is therefore
-    bit-identical to stepping one at a time.
+    does not (or is NaN) is redone step by step, except where the queue
+    starts the block empty and no increment is positive: each step then
+    clamps ``0.0 + inc`` to 0.0, so the block is filled with 0.0.  The
+    result is therefore bit-identical to stepping one at a time.
     """
     params.validate()
     if step_s is None:
@@ -128,11 +130,15 @@ def integrate(params: FluidParams,
     for i in range(lag, n, lag):
         end = min(i + lag, n)
         block = x[i:end + 1]
-        block[1:] = step_s * (a - inv_delta * np.maximum(x[i - lag:end - lag] - d_t, 0.0))
+        inc = step_s * (a - inv_delta * np.maximum(x[i - lag:end - lag] - d_t, 0.0))
+        block[1:] = inc
         np.add.accumulate(block, out=block)
         if not (block[1:] > 0.0).all():
-            for k in range(i, end):
-                step(k, x[k - lag])
+            if block[0] == 0.0 and (inc <= 0.0).all():
+                block[1:] = 0.0
+            else:
+                for k in range(i, end):
+                    step(k, x[k - lag])
     return t, x
 
 

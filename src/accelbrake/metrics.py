@@ -21,6 +21,12 @@ instead of a record, a tuple per hop and an int object per stamp:
 The statistics read the columns directly.  ``MetricsLog.deliveries`` is a
 read-only sequence of ``DeliveryRecord`` built from the columns one
 record at a time, on access.
+
+Delay percentiles are taken from a histogram ``{delay_us: count}`` of
+one hop's stamps, counted by ``collections.Counter`` straight from the
+columns, so a report holds one entry per distinct delay instead of an int
+object per stamp.  ``nearest_rank`` walks the histogram's sorted keys to
+the rank a sort of every delay would give.
 """
 
 from __future__ import annotations
@@ -29,7 +35,8 @@ import csv
 import math
 import os
 from array import array
-from collections.abc import Sequence
+from collections import Counter
+from collections.abc import Mapping, Sequence
 from dataclasses import dataclass, field
 from functools import partial
 from typing import Iterable, Optional
@@ -86,6 +93,14 @@ class MetricsLog:
     hop_ids: list = field(default_factory=list, init=False, repr=False)
     _hop_index: dict = field(default_factory=dict, init=False, repr=False)
 
+    def __post_init__(self):
+        # Every column's append, bound once: a delivery then looks up one
+        # attribute instead of nine.  The columns are never replaced.
+        self._appends = (self.flow_ids.append, self.seqs.append, self.sizes.append,
+                         self.send_times.append, self.deliver_times.append,
+                         self.stamp_hops.append, self.enqueue_times.append,
+                         self.dequeue_times.append, self.stamp_offsets.append)
+
     def record_delivery(self, flow_id: str, seq: int, size_bytes: int,
                         send_time: SimTime, deliver_time: SimTime, hops) -> None:
         """Append one delivered packet.
@@ -93,22 +108,23 @@ class MetricsLog:
         ``hops`` is flat: ``hop_id, enqueue_time, dequeue_time`` for each
         hop crossed, in path order (the layout of ``Packet.hop_trace``).
         """
-        self.flow_ids.append(flow_id)
-        self.seqs.append(seq)
-        self.sizes.append(size_bytes)
-        self.send_times.append(send_time)
-        self.deliver_times.append(deliver_time)
+        (add_flow, add_seq, add_size, add_send, add_deliver,
+         add_hop, add_enq, add_deq, add_offset) = self._appends
+        add_flow(flow_id)
+        add_seq(seq)
+        add_size(size_bytes)
+        add_send(send_time)
+        add_deliver(deliver_time)
         index = self._hop_index
-        stamp = iter(hops)
-        for hop_id, enq, deq in zip(stamp, stamp, stamp):
-            hop = index.get(hop_id)
+        for k in range(0, len(hops), 3):
+            hop = index.get(hops[k])
             if hop is None:
-                hop = index[hop_id] = len(self.hop_ids)
-                self.hop_ids.append(hop_id)
-            self.stamp_hops.append(hop)
-            self.enqueue_times.append(enq)
-            self.dequeue_times.append(deq)
-        self.stamp_offsets.append(len(self.stamp_hops))
+                hop = index[hops[k]] = len(self.hop_ids)
+                self.hop_ids.append(hops[k])
+            add_hop(hop)
+            add_enq(hops[k + 1])
+            add_deq(hops[k + 2])
+        add_offset(len(self.stamp_hops))
 
     def record_drop(self, rec: DropRecord) -> None:
         self.drops.append(rec)
@@ -160,45 +176,44 @@ def utilization(log: MetricsLog, hop_id: str) -> float:
     return stats.dequeued_bytes / stats.opportunity_bytes
 
 
+def _delays(log: MetricsLog, hop_id: str, start: SimTime, end: Optional[SimTime]):
+    """Iterator over the queuing delays at one hop, for stamps dequeued in [start, end]."""
+    hop = log._hop_index.get(hop_id)  # None matches no stamp
+    return (deq - enq for h, enq, deq
+            in zip(log.stamp_hops, log.enqueue_times, log.dequeue_times)
+            if h == hop and deq >= start and (end is None or deq <= end))
+
+
 def hop_delays_us(log: MetricsLog, hop_id: str,
                   start: SimTime = 0, end: Optional[SimTime] = None) -> list[int]:
     """Per-packet queuing delays at one hop, for packets dequeued in [start, end]."""
-    hop = log._hop_index.get(hop_id)  # None matches no stamp
-    return [deq - enq for h, enq, deq
-            in zip(log.stamp_hops, log.enqueue_times, log.dequeue_times)
-            if h == hop and deq >= start and (end is None or deq <= end)]
+    return list(_delays(log, hop_id, start, end))
 
 
-def delays_by_hop(log: MetricsLog) -> dict[str, list[int]]:
-    """``hop_delays_us`` over the whole run for every hop in ``hop_stats``.
+def nearest_rank(counts: Mapping, p: float):
+    """Nearest-rank p-quantile of a non-empty histogram ``{value: count}``.
 
-    One pass over the deliveries serves every hop, so a report that needs
-    all hops' delays should use this rather than ``hop_delays_us`` per hop.
+    With ``n`` values counted, this is the ``ceil(p * n)``-th smallest of
+    them, the element a sorted list of every value holds at that rank.
     """
-    out: dict[str, list[int]] = {hop_id: [] for hop_id in log.hop_stats}
-    by_index = [out.get(hop_id) for hop_id in log.hop_ids]
-    for hop, enq, deq in zip(log.stamp_hops, log.enqueue_times, log.dequeue_times):
-        delays = by_index[hop]
-        if delays is not None:
-            delays.append(deq - enq)
-    return out
-
-
-def nearest_rank(values: list, p: float):
-    """Nearest-rank p-quantile of a non-empty list, which it sorts in place."""
     if not 0 < p <= 1:
         raise ValueError(f"percentile must be in (0, 1], got {p}")
-    values.sort()
-    return values[math.ceil(p * len(values)) - 1]
+    rank = math.ceil(p * sum(counts.values()))
+    seen = 0
+    for value in sorted(counts):
+        seen += counts[value]
+        if seen >= rank:
+            return value
+    raise ValueError("percentile of an empty histogram")
 
 
 def delay_percentile(log: MetricsLog, hop_id: str, p: float,
                      start: SimTime = 0, end: Optional[SimTime] = None) -> int:
     """Nearest-rank p-quantile of queuing delay at a hop, in microseconds."""
-    delays = hop_delays_us(log, hop_id, start, end)
-    if not delays:
+    counts = Counter(_delays(log, hop_id, start, end))
+    if not counts:
         raise ValueError(f"no delivered packets crossed hop {hop_id!r} in the window")
-    return nearest_rank(delays, p)
+    return nearest_rank(counts, p)
 
 
 def jain_index(values: Sequence[float]) -> float:
@@ -244,7 +259,7 @@ def report(log: MetricsLog) -> dict:
     """
     start, end = steady_window(log)
     flows = flow_throughputs(log, start, end) if end > start else {}
-    delays = delays_by_hop(log)
+    delays = {hop_id: Counter(_delays(log, hop_id, 0, None)) for hop_id in log.hop_stats}
     return {
         "duration_us": log.duration_us, "seed": log.seed,
         "delivered_packets": len(log.seqs), "dropped_packets": len(log.drops),

@@ -89,6 +89,10 @@ _history = st.one_of(
 @example(eta=0.9, n_flows=0, mu_bps=24e6, tau_s=0.1, delta_per_tau=1.33,
          target_delay_s=0.05, ai_interval_s=0.1, history=0.3,
          horizon_per_tau=20.0, steps_per_tau=100.0)
+# The queue starts empty and stays there for 60 s (one flow, negative drift).
+@example(eta=0.98, n_flows=1, mu_bps=24e6, tau_s=0.1, delta_per_tau=1.33,
+         target_delay_s=0.05, ai_interval_s=0.1, history=0.0,
+         horizon_per_tau=600.0, steps_per_tau=100.0)
 # delta < 2 tau / 3: the queue oscillates and empties over and over.
 @example(eta=0.98, n_flows=16, mu_bps=24e6, tau_s=0.1, delta_per_tau=0.2,
          target_delay_s=0.05, ai_interval_s=0.1, history=0.0,

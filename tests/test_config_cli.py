@@ -363,9 +363,10 @@ def test_cli_run_report_is_byte_identical(name, tmp_path, capsys):
 
 
 def test_cli_run_scans_the_log_once_per_statistic(quick_scenario, tmp_path, monkeypatch, capsys):
-    # stdout and summary.txt render one report, so each statistic runs once.
+    # stdout and summary.txt render one report, so each statistic runs once:
+    # the throughputs, and the one hop's p50 and p95.
     calls = collections.Counter()
-    for name in ("delays_by_hop", "flow_throughputs"):
+    for name in ("nearest_rank", "flow_throughputs"):
         assert not hasattr(cli, name)  # the CLI reaches them only through report()
 
         def counting(*args, _name=name, _real=getattr(metrics, name)):
@@ -374,7 +375,7 @@ def test_cli_run_scans_the_log_once_per_statistic(quick_scenario, tmp_path, monk
         monkeypatch.setattr(metrics, name, counting)
     assert main(["run", "--config", quick_scenario, "--out", str(tmp_path / "out")]) == 0
     assert "seed 0:" in capsys.readouterr().out
-    assert calls == {"delays_by_hop": 1, "flow_throughputs": 1}
+    assert calls == {"nearest_rank": 2, "flow_throughputs": 1}
 
 
 @pytest.mark.parametrize("jobs, workers", [("8", 2), ("1", 1), ("0", 2)])

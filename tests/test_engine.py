@@ -2,15 +2,18 @@
 
 import hashlib
 import re
+from collections import Counter
 from pathlib import Path
+from unittest import mock
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from accelbrake.config import load_scenario
 from accelbrake.engine import FlowSpec, HopSpec, ShortFlowLoad, Simulation, Topology
 from accelbrake.links import FixedLink, StepLink, TraceLink
+from accelbrake.metrics import report
 from accelbrake.router import AbcParams
 from accelbrake.sender import AbcSender
 
@@ -295,3 +298,76 @@ def test_golden_timeline(name):
                      log_router_rows=cfg.log_router_rows,
                      receiver_coalesce=cfg.receiver_coalesce).run()
     assert _timeline_digest(log) == GOLDEN_2S[name]
+
+
+@st.composite
+def _retirement_topologies(draw):
+    """Long abc/cubic flows plus Poisson shorts through one or two small hops.
+
+    Buffers go down to one packet, so shorts lose packets and time out.
+    The two-hop layout stamps ECN at a droptail hop in front of an abc
+    hop, whose other DRR queue then carries the stamped packets.
+    """
+    delays = st.integers(0, 20_000)
+    links = st.integers(1, 8).map(lambda mbps: FixedLink(mbps * 1e6))
+    buffers = st.integers(1, 30)
+    layout = draw(st.sampled_from(["abc", "droptail", "ecn_then_abc"]))
+    if layout == "ecn_then_abc":
+        hops = [HopSpec("h0", draw(links), kind="droptail", buffer_pkts=draw(buffers),
+                        ecn_threshold_pkts=draw(st.integers(1, 5)),
+                        delay_to_next_us=draw(delays)),
+                HopSpec("h1", draw(links), buffer_pkts=draw(buffers))]
+    else:
+        hops = [HopSpec("h0", draw(links), kind=layout, buffer_pkts=draw(buffers))]
+    flows = [FlowSpec(f"f{j}", draw(st.sampled_from(["abc", "cubic"])),
+                      start_us=draw(st.integers(0, 200_000)),
+                      fwd_delay_us=draw(delays), rev_delay_us=draw(delays))
+             for j in range(draw(st.integers(0, 3)))]
+    shorts = ShortFlowLoad(draw(st.sampled_from([2e6, 6e6])), draw(st.integers(1_000, 30_000)),
+                           draw(delays), draw(delays),
+                           initial_window=draw(st.sampled_from([1.0, 4.0, 10.0])))
+    return Topology(hops, flows, shorts)
+
+
+def _live_packets(sim):
+    """Packets per flow queued at a hop or waiting in the event heap."""
+    live = Counter()
+    for router in sim.routers:
+        queues = router.queue._by_index if hasattr(router, "queue") else (router._queue,)
+        live.update(pkt.flow_id for q in queues for pkt, _ in q)
+    for _, _, handler, args in sim._heap:
+        if handler == sim._on_arrive or handler == sim._on_deliver:
+            live[args[-1].flow_id] += 1
+    return live
+
+
+@settings(max_examples=100, deadline=None)
+@given(topo=_retirement_topologies(), seed=st.integers(0, 3),
+       duration_us=st.integers(200_000, 2_000_000))
+# An overloaded second hop drops the last live packet of shorts whose RTO
+# has already fired, so they are retired on the drop.
+@example(topo=Topology([HopSpec("h0", FixedLink(1e6), kind="droptail", buffer_pkts=50),
+                        HopSpec("h1", FixedLink(0.5e6), kind="droptail", buffer_pkts=3)],
+                       [], ShortFlowLoad(6e6, 1_928, 0, 0)),
+         seed=3, duration_us=1_500_000)
+def test_retiring_finished_shorts_changes_nothing_observable(topo, seed, duration_us):
+    sim = Simulation(topo, duration_us, seed=seed)
+    log = sim.run()
+    with mock.patch.object(Simulation, "_retire_if_finished", lambda self, runtime: None):
+        kept = Simulation(topo, duration_us, seed=seed)
+        kept_log = kept.run()
+    assert _timeline_digest(log) == _timeline_digest(kept_log)
+    assert report(log) == report(kept_log)
+    assert sim.census() == kept.census()
+
+    long_ids = {f.flow_id for f in topo.flows}
+    live = _live_packets(sim)
+    assert set(sim.flows) <= set(kept.flows)
+    for flow_id, runtime in kept.flows.items():
+        if flow_id not in sim.flows:  # retired: a finished short with nothing live
+            assert flow_id not in long_ids and runtime.sender.done()
+            assert live[flow_id] == 0
+    for flow_id, runtime in sim.flows.items():
+        assert runtime.live == live[flow_id], flow_id
+        assert (flow_id in long_ids or runtime.live > 0 or not runtime.sender.done()
+                or runtime.sender.cap_violations > 0), flow_id

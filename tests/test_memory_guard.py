@@ -1,10 +1,16 @@
-"""The run log must not grow by a per-packet object.
+"""The run log must not grow by a per-packet object, nor a run by its finished flows.
 
 Memory traced across ``run()``, divided by the packets delivered, covers
 the delivery log plus whatever else a run keeps (short flows' state, the
 heap, queued packets).  With the column-oriented log it measures about
 120 B per delivery on both scenarios below; a log of one record and one
 tuple per hop per delivery measured 380-500 B.
+
+A finished short flow leaves ``Simulation.flows``, so 8 s of
+coexist_shorts ends with a few dozen runtimes instead of 1,919.  The
+report takes its delay percentiles from per-hop histograms: its traced
+peak on that log is about 13 B per hop stamp, where sorting a list of
+every delay took about 46.
 """
 
 import tracemalloc
@@ -14,18 +20,25 @@ import pytest
 
 from accelbrake.config import load_scenario
 from accelbrake.engine import Simulation
+from accelbrake.metrics import report
 
 SCENARIO_DIR = Path(__file__).resolve().parent.parent / "scenarios"
 MAX_BYTES_PER_DELIVERY = 200
+MAX_FLOWS_AFTER_8S = 100
+MAX_REPORT_BYTES_PER_STAMP = 16
+
+
+def _simulation(name, duration_us):
+    cfg = load_scenario(str(SCENARIO_DIR / f"{name}.yaml"))
+    return Simulation(cfg.topology, duration_us, seed=cfg.seed,
+                      flow_sample_interval_us=cfg.sample_interval_us,
+                      log_router_rows=cfg.log_router_rows,
+                      receiver_coalesce=cfg.receiver_coalesce)
 
 
 @pytest.mark.parametrize("name", ["serial_bottlenecks", "coexist_shorts"])
 def test_run_memory_per_delivery(name):
-    cfg = load_scenario(str(SCENARIO_DIR / f"{name}.yaml"))
-    sim = Simulation(cfg.topology, 2_000_000, seed=cfg.seed,
-                     flow_sample_interval_us=cfg.sample_interval_us,
-                     log_router_rows=cfg.log_router_rows,
-                     receiver_coalesce=cfg.receiver_coalesce)
+    sim = _simulation(name, 2_000_000)
     tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]
@@ -36,3 +49,28 @@ def test_run_memory_per_delivery(name):
     delivered = len(log.deliveries)
     assert delivered > 1_000
     assert grown / delivered <= MAX_BYTES_PER_DELIVERY, f"{grown / delivered:.0f} B per delivery"
+
+
+@pytest.fixture(scope="module")
+def shorts_8s():
+    sim = _simulation("coexist_shorts", 8_000_000)
+    return sim, sim.run()
+
+
+def test_finished_short_flows_leave_the_simulation(shorts_8s):
+    sim, _ = shorts_8s
+    assert sim.census()["sent"] > 50_000
+    assert len(sim.flows) < MAX_FLOWS_AFTER_8S, f"{len(sim.flows)} flows kept"
+
+
+def test_report_memory_per_stamp(shorts_8s):
+    _, log = shorts_8s
+    tracemalloc.start()
+    try:
+        report(log)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    stamps = len(log.stamp_hops)
+    assert stamps > 50_000
+    assert peak / stamps < MAX_REPORT_BYTES_PER_STAMP, f"{peak / stamps:.1f} B per stamp"

@@ -9,10 +9,10 @@ from accelbrake.metrics import (
     HopStats,
     MetricsLog,
     delay_percentile,
-    delays_by_hop,
     flow_throughputs,
     hop_delays_us,
     jain_index,
+    nearest_rank,
     report,
     steady_window,
     utilization,
@@ -55,15 +55,28 @@ def test_hop_delays_filter_by_hop_and_window():
     assert hop_delays_us(log, "a", start=501) == [600]
 
 
-def test_delays_by_hop_matches_per_hop_scan():
+def test_report_percentiles_per_hop():
     log = MetricsLog()
     for hop in ("a", "b", "idle"):
         log.hop_stats[hop] = HopStats()
     _deliver(log, "f", 0, 900, [("a", 0, 500), ("b", 600, 800)])
     _deliver(log, "f", 1, 2_000, [("a", 900, 1_500), ("x", 1_500, 1_700)])
-    # Hops outside hop_stats are skipped; a hop that served nothing gets [].
-    assert delays_by_hop(log) == {h: hop_delays_us(log, h) for h in log.hop_stats}
-    assert delays_by_hop(log) == {"a": [500, 600], "b": [200], "idle": []}
+    _deliver(log, "f", 2, 3_000, [("a", 2_000, 2_500)])
+    # Hops outside hop_stats are skipped; a hop that served nothing gets None.
+    hops = report(log)["hops"]
+    assert list(hops) == ["a", "b", "idle"]
+    assert [(h["delay_p50_us"], h["delay_p95_us"]) for h in hops.values()] == [
+        (500, 600), (200, 200), (None, None)]
+
+
+def test_nearest_rank_walks_the_histogram():
+    counts = {10: 3, 20: 1, 5: 2}  # the sorted values are 5 5 10 10 10 20
+    assert [nearest_rank(counts, p) for p in (1 / 6, 0.34, 0.5, 5 / 6, 0.84, 1.0)] == [
+        5, 10, 10, 10, 20, 20]
+    with pytest.raises(ValueError, match=r"percentile must be in \(0, 1\], got 0"):
+        nearest_rank(counts, 0)
+    with pytest.raises(ValueError):
+        nearest_rank({}, 0.5)
 
 
 def test_percentile_uses_nearest_rank():

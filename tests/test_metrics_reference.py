@@ -2,10 +2,13 @@
 
 ``_ReferenceLog`` keeps the earlier layout: one ``DeliveryRecord`` per
 delivered packet, with a ``hops`` tuple of ``(hop_id, enq, deq)``, and the
-statistics scan those records.  Random deliveries over random paths (hops
-in any order, some missing from ``hop_stats``) and random windows must
-give the same delays, percentiles, throughputs and records from both.
+statistics scan those records and sort a list of delays for a percentile.
+Random deliveries over random paths (hops in any order, some missing from
+``hop_stats``) and random windows must give the same delays, percentiles,
+throughputs and records from both.
 """
+
+import math
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -16,14 +19,18 @@ from accelbrake.metrics import (
     HopStats,
     MetricsLog,
     delay_percentile,
-    delays_by_hop,
     flow_throughputs,
     hop_delays_us,
-    nearest_rank,
+    report,
 )
 
 HOPS = ["a", "b", "c", "d"]
 FLOWS = ["f0", "f1", "short000001"]
+
+
+def _nearest_rank(values, p):
+    values = sorted(values)
+    return values[math.ceil(p * len(values)) - 1]
 
 
 class _ReferenceLog:
@@ -52,7 +59,7 @@ class _ReferenceLog:
         delays = self.hop_delays_us(hop_id, start, end)
         if not delays:
             raise ValueError("empty")
-        return nearest_rank(delays, p)
+        return _nearest_rank(delays, p)
 
     def flow_throughputs(self, start, end, flows=None):
         delivered = {f: 0 for f in flows} if flows else {}
@@ -109,7 +116,10 @@ def test_column_log_matches_record_list(records, stats_hops, start, end, p,
         except ValueError:
             got = ValueError
         assert got == want
-    assert delays_by_hop(log) == ref.delays_by_hop()
+    want = {hop: (_nearest_rank(d, 0.5), _nearest_rank(d, 0.95)) if d else (None, None)
+            for hop, d in ref.delays_by_hop().items()}
+    assert {hop: (h["delay_p50_us"], h["delay_p95_us"])
+            for hop, h in report(log)["hops"].items()} == want
 
     tp_end = tp_start + tp_width
     got = flow_throughputs(log, tp_start, tp_end, requested)
