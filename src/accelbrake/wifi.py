@@ -15,6 +15,39 @@ Estimates are smoothed over a short window and capped at twice the
 current dequeue rate -- the control loop can at most double a rate in one
 round trip, so a larger estimate is not actionable anyway.
 
+``CapacityFilter`` is the smoothing filter, one sample at a time: each
+sample weighs ``0.5 ** (age / half_life)`` with ``half_life = window/2``,
+and a sample leaves from the front of the window once its time is below
+``now - window``.  ``estimate_capacity`` evaluates the same filter at
+every event of a stream with a numpy kernel that gives bit-identical
+estimates.  It takes the stream ``_BLOCK`` events at a time:
+
+1. The projection and the instantaneous rate of every event in the block
+   as arrays, with ``backlogged_projection``'s and
+   ``instantaneous_rate``'s operations: integer products stay integers
+   until the division.  The first event either function rejects ends the
+   block, and once the events before it are estimated that function
+   raises its own error for it.
+2. Each event's window start: the front of the window walks forward
+   past every sample below the event's cutoff, as the filter pops it, so
+   times out of order or repeated get the filter's windows.
+3. Three sums per event (weighted projections, weighted rates, weights),
+   built one window position at a time, oldest sample first.  At
+   position k every event with a k-th sample adds ``w * value`` to its
+   sums, a separately rounded multiply and add, as the filter's loop
+   does; numpy fuses neither.  Same operations in the same order give
+   the same bits.
+4. Weights are Python's own ``**``: numpy's ``power`` differs from it in
+   the last bit for some exponents.  Times in order make every age an
+   integer in ``[0, window]``, and the kernel works out each such age's
+   weight once and keeps it in a table, for windows shorter than
+   ``_TABLE_SPAN`` microseconds.  Other ages (float times, times out of
+   order, longer windows) are worked out per sample.
+
+Memory: the block's arrays, the samples of the last window carried into
+the next block, and the table.  That is O(block + window) whatever the
+stream's length; only the returned list grows with it.
+
 ``generate_mac_trace`` synthesizes acknowledgment streams with known
 ground truth for exercising the estimator.
 """
@@ -23,11 +56,15 @@ from __future__ import annotations
 
 import csv
 import math
+import mmap
 import random
 from bisect import bisect_right
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from itertools import islice
 from typing import Callable, Optional, Sequence
+
+import numpy as np
 
 from .core import SimTime, US_PER_S
 
@@ -112,35 +149,143 @@ class EstimatePoint:
     capped_bps: float    # the published estimate: min(raw, 2 * current)
 
 
+_BLOCK = 1024            # events per kernel block
+_TABLE_SPAN = 1 << 16    # windows (us) shorter than this keep their weights in a table
+
+
+def _block_rates(block: list[AmpduAckEvent], gaps: np.ndarray):
+    """Backlogged projection and instantaneous rate of each event in a block.
+
+    The arithmetic is ``backlogged_projection``'s and
+    ``instantaneous_rate``'s, operation for operation.  Also returns the
+    index of the first event either function rejects, or None.
+    """
+    b = np.array([ev.batch_frames for ev in block])
+    s = np.array([ev.frame_bits for ev in block])
+    r = np.array([ev.phy_rate_bps for ev in block], dtype=float)
+    m = np.array([ev.max_batch for ev in block])
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        full_us = gaps + (m - b) * s * US_PER_S / r
+        projection = m * s * US_PER_S / full_us
+        rate = b * s * US_PER_S / gaps
+    bad = np.flatnonzero((gaps <= 0) | ~((1 <= b) & (b <= m)) | (r == 0) | (full_us == 0))
+    return projection, rate, (int(bad[0]) if bad.size else None)
+
+
+def _window_starts(times: np.ndarray, cutoffs: np.ndarray) -> np.ndarray:
+    """Where each event's window begins, as ``CapacityFilter`` pops it.
+
+    A sample leaves only from the front of the window, once its time is
+    below the cutoff, so the front walks forward; times need not be in
+    order.
+    """
+    front, starts, i = times.tolist(), [], 0
+    for cutoff in cutoffs.tolist():
+        while front[i] < cutoff:
+            i += 1
+        starts.append(i)
+    return np.array(starts, dtype=np.intp)
+
+
 def _estimate_stream(events, window_us: SimTime, cap_factor: float,
                      recompute_inter_ack: bool) -> list[EstimatePoint]:
     """Filtered projection, dequeue rate and capped estimate at every event.
 
-    Both series share one window.  Each of its samples gets one weight,
-    the same ``0.5 ** (age / half_life)`` a separate filter per series
-    would compute, and each average accumulates its products and the
-    weights in window order from 0.0, exactly as such a filter would.  So
-    the estimates are bit-identical to filtering each series on its own.
+    Works block by block as the module docstring lays out; the samples
+    still in the window after a block are carried into the next.
     """
     if not cap_factor > 0:
         raise ValueError(f"cap factor must be positive, got {cap_factor}")
-    window = CapacityFilter(window_us)
-    add, value = window.add, window.value
-    prev_time: Optional[float] = None
+    if window_us <= 0:
+        raise ValueError(f"filter window must be positive, got {window_us}")
+    window_us = int(window_us)
+    half_life = window_us / 2.0
+    # table[d] is the weight of integer age d, or 0.0 until first needed;
+    # every age in the window weighs at least 0.25.  The table is an
+    # anonymous mapping of its own, so its pages go back to the system when
+    # the call returns; freed into the heap they would stay resident.
+    table = np.frombuffer(mmap.mmap(-1, 8 * (window_us + 1))) \
+        if window_us < _TABLE_SPAN else None
+    events = iter(events)
+    prev_time = None
+    if recompute_inter_ack:
+        first = next(events, None)
+        if first is None:
+            return []
+        prev_time = first.time_us
+    win_times = np.empty(0, dtype=np.int64)
+    win_raw = win_cur = np.empty(0)
     out: list[EstimatePoint] = []
-    for ev in events:
+    while block := list(islice(events, _BLOCK)):
+        stamps = [ev.time_us for ev in block]
+        t = np.array(stamps)
         if recompute_inter_ack:
-            if prev_time is None:
-                prev_time = ev.time_us
-                continue
-            ev = AmpduAckEvent(ev.time_us, ev.batch_frames, ev.frame_bits,
-                               ev.phy_rate_bps, ev.max_batch,
-                               ev.time_us - prev_time, ev.user)
-            prev_time = ev.time_us
-        add(ev.time_us, backlogged_projection(ev), instantaneous_rate(ev))
-        raw, current = value(ev.time_us)
-        out.append(EstimatePoint(int(ev.time_us), raw, current,
-                                 min(raw, cap_factor * current)))
+            gaps = np.diff(t, prepend=prev_time)
+            prev_time = stamps[-1]
+        else:
+            gaps = np.array([ev.inter_ack_us for ev in block])
+        projection, rate, first_bad = _block_rates(block, gaps)
+        n = len(block) if first_bad is None else first_bad
+
+        # The window's samples, then the block's: event i sits at c + i.
+        c = win_times.size
+        times = np.concatenate((win_times, t[:n]))
+        raws = np.concatenate((win_raw, projection[:n]))
+        curs = np.concatenate((win_cur, rate[:n]))
+        now = times[c:]
+        starts = _window_starts(times, now - window_us)
+        # In time order every age is an integer in [0, window_us] if the
+        # times are integers.
+        in_table = (table is not None and times.dtype.kind == "i"
+                    and (times[1:] >= times[:-1]).all())
+
+        # Longest window first: the events with a sample at window position
+        # k are then the first active[k] of this order.  (Python's sort: for
+        # a block this small it costs little, and numpy's sort kernels would
+        # map some 300 KB more of its code into the process.)
+        length = (np.arange(c + 1, c + n + 1) - starts).tolist()
+        order = np.array(sorted(range(n), key=length.__getitem__, reverse=True),
+                         dtype=np.intp)
+        active = (n - np.cumsum(np.bincount(length, minlength=1))[:-1]).tolist()
+        first_sample, now_o = starts[order], now[order]
+        num_raw, num_cur, den = np.zeros(n), np.zeros(n), np.zeros(n)
+        for k, m in enumerate(active):
+            j = first_sample[:m] + k
+            ages = now_o[:m] - times[j]
+            if in_table:
+                w = table[ages]
+                fresh = ages[w == 0.0]
+                if fresh.size:
+                    fresh = list(dict.fromkeys(fresh.tolist()))
+                    table[fresh] = [0.5 ** (d / half_life) for d in fresh]
+                    w = table[ages]
+            else:
+                w = np.array([0.5 ** (d / half_life) for d in ages.tolist()], dtype=float)
+            num_raw[:m] += w * raws[j]
+            num_cur[:m] += w * curs[j]
+            den[:m] += w
+        raw, cur = np.empty(n), np.empty(n)
+        raw[order] = num_raw / den
+        cur[order] = num_cur / den
+
+        # min(raw, scaled) as Python takes it: raw unless scaled is less.
+        # Where it is not capped, the capped estimate is the raw float
+        # object itself, so a point holds no more objects than it needs.
+        raw_list = raw.tolist()
+        capped = raw_list.copy()
+        scaled = cap_factor * cur
+        below = np.flatnonzero(scaled < raw)
+        for i, v in zip(below.tolist(), scaled[below].tolist()):
+            capped[i] = v
+        out.extend(map(EstimatePoint, map(int, stamps[:n]), raw_list, cur.tolist(), capped))
+
+        if first_bad is not None:
+            # Raise the scalar functions' own error for the rejected event.
+            ev = replace(block[first_bad], inter_ack_us=gaps[first_bad].item())
+            backlogged_projection(ev)
+            instantaneous_rate(ev)
+        tail = starts[-1]
+        win_times, win_raw, win_cur = times[tail:], raws[tail:], curs[tail:]
     return out
 
 
@@ -331,29 +476,11 @@ def read_mac_trace(path: str) -> list[AmpduAckEvent]:
 
 
 def write_estimates(points: Sequence[EstimatePoint], path: str) -> None:
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["time_us", "mu_hat_bps"])
-        for p in points:
-            w.writerow([p.time_us, f"{p.capped_bps:.1f}"])
+    """Write ``time_us,mu_hat_bps`` rows, the bytes ``csv.writer`` would write.
 
-
-class WifiReplayView:
-    """Capacity view for the simulator backed by a series of estimates.
-
-    Steps through ``(time_us, rate_bps)`` points; before the first point
-    the first rate applies.  Lets a bottleneck hop run its control loop
-    off replayed wireless estimates instead of the link-process oracle.
+    ``csv.writer`` ends rows with ``\r\n`` and never quotes an integer or a
+    formatted float, so the lines are formatted directly.
     """
-
-    def __init__(self, points: Sequence[tuple[SimTime, float]]):
-        if not points:
-            raise ValueError("replay view needs at least one estimate")
-        self._times = [int(t) for t, _ in points]
-        self._rates = [float(r) for _, r in points]
-        if any(b <= a for a, b in zip(self._times, self._times[1:])):
-            raise ValueError("estimate times must be strictly increasing")
-
-    def capacity(self, now: SimTime) -> float:
-        i = bisect_right(self._times, now) - 1
-        return self._rates[max(0, i)]
+    with open(path, "w", newline="") as fh:
+        fh.write("time_us,mu_hat_bps\r\n")
+        fh.writelines(f"{p.time_us},{p.capped_bps:.1f}\r\n" for p in points)

@@ -15,6 +15,7 @@ from bisect import bisect_right
 from collections import deque
 
 import numpy as np
+import pytest
 from hypothesis import Phase, example, given, settings
 from hypothesis import strategies as st
 
@@ -285,3 +286,166 @@ def test_per_user_estimates_match_reference(seeds, window_us):
     assert list(got) == sorted(by_user)
     for u, evs in by_user.items():
         _assert_same(got[u], _reference_stream(evs, window_us, 2.0, recompute_inter_ack=True))
+
+
+# ------------------------------------------------- wifi: kernel corner cases
+#
+# estimate_capacity works in blocks of events with a table of weights for
+# integer ages; these streams reach the parts of it a generated trace does
+# not: times out of order or repeated, float times, tiny windows, streams
+# shorter than a block, and events the scalar functions reject.
+
+
+def _outcome(estimate, *args):
+    """What an estimator returns, bit for bit, or the error it raises."""
+    try:
+        result = estimate(*args)
+    except (ValueError, OverflowError, ZeroDivisionError) as exc:
+        return type(exc), str(exc)
+    if isinstance(result, dict):
+        return {u: _bits(points) for u, points in result.items()}
+    return _bits(result)
+
+
+def _reference_per_user(events, window_us, cap_factor):
+    by_user = {}
+    for ev in events:
+        by_user.setdefault(ev.user, []).append(ev)
+    return {u: _reference_stream(evs, window_us, cap_factor, recompute_inter_ack=True)
+            for u, evs in sorted(by_user.items())}
+
+
+def _assert_same_outcome(events, window_us, cap_factor=2.0):
+    got = _outcome(estimate_capacity, events, window_us, cap_factor)
+    want = _outcome(_reference_stream, events, window_us, cap_factor, False)
+    assert got == want
+    got = _outcome(estimate_capacity_per_user, events, window_us, cap_factor)
+    want = _outcome(_reference_per_user, events, window_us, cap_factor)
+    assert got == want
+
+
+def _hand_event(time_us, batch=4, user=0, gap=3_000.0, frame_bits=12_000, phy=24e6, max_batch=8):
+    return AmpduAckEvent(time_us, batch, frame_bits, phy, max_batch, gap, user)
+
+
+_hand_events = st.lists(
+    st.builds(_hand_event, time_us=st.integers(0, 120_000), batch=st.integers(1, 8),
+              user=st.integers(0, 2), gap=st.floats(1.0, 20_000.0),
+              phy=st.sampled_from([6e6, 24e6, 72e6])),
+    max_size=1_200)
+
+
+@settings(max_examples=60, deadline=None, phases=_NO_SHRINK)
+@given(events=_hand_events, window_us=st.sampled_from([1, 2, 1_000, 40_000, 70_000]),
+       order=st.sampled_from(["as drawn", "sorted", "reversed"]))
+# Repeated times, a 1 us window, an out-of-order sample that outlives later ones.
+@example(events=[_hand_event(t) for t in (5, 5, 5, 6, 6, 9, 9, 9, 10)], window_us=1,
+         order="as drawn")
+@example(events=[_hand_event(t) for t in (0, 100, 30_000, 10, 40_000, 40_000, 80_001)],
+         window_us=40_000, order="as drawn")
+def test_unordered_and_repeated_times_match_reference(events, window_us, order):
+    if order == "sorted":
+        events.sort(key=lambda ev: ev.time_us)
+    elif order == "reversed":
+        events.sort(key=lambda ev: -ev.time_us)
+    _assert_same_outcome(events, window_us)
+
+
+@settings(max_examples=40, deadline=None, phases=_NO_SHRINK)
+@given(steps=st.lists(st.floats(0.0, 5_000.0), max_size=700),
+       shuffle_seed=st.one_of(st.none(), st.integers(0, 100)),
+       window_us=st.sampled_from([1, 1_000, 40_000]))
+@example(steps=[0.25, 0.5, 0.0, 1e-9, 3_000.125], shuffle_seed=None, window_us=1)
+def test_float_times_match_reference(steps, shuffle_seed, window_us):
+    # Times built through the Python API need not be integers.
+    times = np.cumsum([1.5] + steps).tolist()
+    if shuffle_seed is not None:
+        random.Random(shuffle_seed).shuffle(times)
+    events = [_hand_event(t, batch=1 + i % 8, user=i % 2) for i, t in enumerate(times)]
+    _assert_same_outcome(events, window_us)
+
+
+@pytest.mark.parametrize("window_us", [1, 1_000, 40_000, 70_000])
+def test_long_disordered_stream_matches_reference(window_us):
+    # Several blocks of times that mostly rise, with repeats and late
+    # arrivals, so the window carried from block to block is out of order.
+    rng = random.Random(window_us)
+    t, times = 0, []
+    for _ in range(3_000):
+        t += rng.choice([0, 0, 1, 500, 2_000, 9_000])
+        times.append(t - rng.choice([0, 0, 0, 0, 30, 3_000]))
+    events = [_hand_event(t, batch=rng.randint(1, 8), user=rng.randint(0, 1),
+                          gap=rng.uniform(1.0, 9_000.0)) for t in times]
+    _assert_same_outcome(events, window_us)
+    # The same stream in time order goes through the weight table.
+    events.sort(key=lambda ev: ev.time_us)
+    _assert_same_outcome(events, window_us)
+
+
+@pytest.mark.parametrize("position", [0, 1, 1_023, 1_024, 2_047])
+def test_invalid_event_at_block_edges(position):
+    # The rejected event may be the first of a block or of the stream.
+    events = [_hand_event(1_000 * (i + 1), user=i % 2) for i in range(2_500)]
+    events[position] = dataclasses.replace(events[position], batch_frames=9)
+    _assert_same_outcome(events, 40_000)
+    with pytest.raises(ValueError, match=r"batch of 9 outside \[1, 8\]"):
+        estimate_capacity(events)
+
+
+def test_one_microsecond_window_matches_reference():
+    profile = LinkProfile(72e6, 16, 12_000, OverheadModel(1_000, 200, 200))
+    events = generate_mac_trace(profile, 40e6, 2.0, seed=5)
+    shuffled = list(events)
+    random.Random(5).shuffle(shuffled)
+    for stream in (events, shuffled, merge_user_streams(events, events[::3])):
+        _assert_same_outcome(stream, 1)
+
+
+def test_empty_and_one_event_streams():
+    assert estimate_capacity([]) == []
+    assert estimate_capacity_per_user([]) == {}
+    one = [_hand_event(1_000)]
+    _assert_same_outcome([], 40_000)
+    _assert_same_outcome(one, 40_000)
+    assert len(estimate_capacity(one)) == 1
+    # Per user, an event only seeds the clock for the next one.
+    assert estimate_capacity_per_user(one) == {0: []}
+    with pytest.raises(ValueError, match="filter window must be positive, got 0"):
+        estimate_capacity([], window_us=0)
+
+
+def test_one_event_user_under_per_user():
+    profile = LinkProfile(72e6, 16, 12_000, OverheadModel(1_000, 200, 200))
+    busy = generate_mac_trace(profile, 20e6, 1.0, seed=2, user=0)
+    lone = [_hand_event(busy[len(busy) // 2].time_us + 1, user=1)]
+    merged = merge_user_streams(busy, lone)
+    got = estimate_capacity_per_user(merged)
+    assert list(got) == [0, 1] and got[1] == []
+    _assert_same_outcome(merged, 40_000)
+
+
+@pytest.mark.parametrize("change, shared_raises, per_user_raises", [
+    ({"batch_frames": 0}, True, True),
+    ({"batch_frames": 17}, True, True),
+    ({"phy_rate_bps": 0.0}, True, True),
+    # Per user the gaps are recomputed from the times.
+    ({"inter_ack_us": 0.0}, True, False),
+    ({"inter_ack_us": -2.5}, True, False),
+    ({"time_us": None}, False, True),
+])
+def test_invalid_event_deep_in_stream_raises_same_error(change, shared_raises,
+                                                        per_user_raises):
+    profile = LinkProfile(72e6, 16, 12_000, OverheadModel(1_000, 200, 200))
+    events = generate_mac_trace(profile, 40e6, 4.0, seed=9)
+    k = len(events) * 3 // 4
+    assert k > 1_000
+    if "time_us" in change:
+        # A repeated time: a zero gap once recomputed per user.
+        change = {"time_us": events[k - 1].time_us}
+    events[k] = dataclasses.replace(events[k], **change)
+    got = _outcome(estimate_capacity, events, 40_000, 2.0)
+    assert got == _outcome(_reference_stream, events, 40_000, 2.0, False)
+    assert isinstance(got, tuple) == shared_raises
+    got = _outcome(estimate_capacity_per_user, events, 40_000, 2.0)
+    assert got == _outcome(_reference_per_user, events, 40_000, 2.0)
+    assert isinstance(got, tuple) == per_user_raises

@@ -224,8 +224,12 @@ def _random_topologies(draw):
                       start_us=draw(st.integers(0, 200_000)),
                       fwd_delay_us=draw(delays), rev_delay_us=draw(delays))
              for j in range(draw(st.integers(1, 3)))]
+    # From 1,000 B, the smallest transfer a scenario file can ask for
+    # (flow_kbytes >= 1): a few bytes per flow at 4 Mbit/s means half a
+    # million flows per simulated second.  The test below keeps one sub-kB
+    # case, bounded in time.
     shorts = draw(st.none() | st.builds(ShortFlowLoad, st.sampled_from([1e6, 4e6]),
-                                        st.integers(1, 30_000), delays, delays))
+                                        st.integers(1_000, 30_000), delays, delays))
     return Topology(hops, flows, shorts)
 
 
@@ -240,6 +244,17 @@ def test_random_topologies_dequeue_once_per_instant_and_conserve_packets(topo, s
         stamps = sorted(deq for h, deq in zip(log.stamp_hops, log.dequeue_times) if h == hop)
         assert all(a < b for a, b in zip(stamps, stamps[1:])), log.hop_ids[hop]
     c = sim.census()
+    assert c["sent"] == c["delivered"] + c["dropped"] + c["queued"] + c["in_flight"]
+
+
+def test_sub_kilobyte_short_flows_conserve_packets():
+    # 100 B transfers at 1 Mbit/s: 1,250 flows per simulated second.
+    topo = Topology([HopSpec("h", FixedLink(1e6))], [FlowSpec("f")],
+                    ShortFlowLoad(1e6, flow_bytes=100))
+    sim = Simulation(topo, duration_us=200_000, seed=1)
+    sim.run()
+    c = sim.census()
+    assert c["sent"] > 100
     assert c["sent"] == c["delivered"] + c["dropped"] + c["queued"] + c["in_flight"]
 
 

@@ -11,6 +11,14 @@ coexist_shorts ends with a few dozen runtimes instead of 1,919.  The
 report takes its delay percentiles from per-hop histograms: its traced
 peak on that log is about 13 B per hop stamp, where sorting a list of
 every delay took about 46.
+
+The Wi-Fi estimator works through a stream in blocks: beyond the list of
+estimates it returns, its traced peak on the companion benchmark's trace
+(60 s at 72 Mbit/s PHY, 40 Mbit/s offered) is about 0.2 MB.  (Its table
+of weights for the window's 40,001 integer ages, 0.3 MB, is a memory
+mapping that tracemalloc does not see; ``_TABLE_SPAN`` bounds it.)  A
+layout with one row per event and one column per window position would
+hold several MB here.
 """
 
 import tracemalloc
@@ -21,11 +29,13 @@ import pytest
 from accelbrake.config import load_scenario
 from accelbrake.engine import Simulation
 from accelbrake.metrics import report
+from accelbrake.wifi import LinkProfile, estimate_capacity, generate_mac_trace
 
 SCENARIO_DIR = Path(__file__).resolve().parent.parent / "scenarios"
 MAX_BYTES_PER_DELIVERY = 200
 MAX_FLOWS_AFTER_8S = 100
 MAX_REPORT_BYTES_PER_STAMP = 16
+MAX_ESTIMATOR_WORKING_BYTES = 1 << 20
 
 
 def _simulation(name, duration_us):
@@ -74,3 +84,15 @@ def test_report_memory_per_stamp(shorts_8s):
     stamps = len(log.stamp_hops)
     assert stamps > 50_000
     assert peak / stamps < MAX_REPORT_BYTES_PER_STAMP, f"{peak / stamps:.1f} B per stamp"
+
+
+def test_estimator_working_memory():
+    events = generate_mac_trace(LinkProfile(phy_rate_bps=72e6), 40e6, 60.0, seed=0)
+    tracemalloc.start()
+    try:
+        points = estimate_capacity(events)
+        kept, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(points) == len(events) > 20_000
+    assert peak - kept < MAX_ESTIMATOR_WORKING_BYTES, f"{(peak - kept) / 1e6:.2f} MB"

@@ -1,15 +1,17 @@
 """Wireless capacity estimation from block-ACK streams."""
 
+import csv
 import random
+from pathlib import Path
 
 import pytest
 
 from accelbrake.wifi import (
     AmpduAckEvent,
     CapacityFilter,
+    EstimatePoint,
     LinkProfile,
     OverheadModel,
-    WifiReplayView,
     backlogged_projection,
     estimate_capacity,
     estimate_capacity_per_user,
@@ -244,18 +246,35 @@ def test_estimate_file_contains_published_column(tmp_path):
     assert float(lines[1].split(",")[1]) == pytest.approx(19.2e6)
 
 
-# ------------------------------------------------------------------- replay
+@pytest.mark.parametrize("seed", range(3))
+def test_estimate_file_bytes_match_csv_writer(tmp_path, seed):
+    rng = random.Random(seed)
+    rates = [0.0, 1e300, 2.0 ** 70, 123456789.05, 0.05, 0.0499]
+    rates += [rng.uniform(0.0, 1e9) for _ in range(200)]
+    rates += [rng.lognormvariate(0.0, 30.0) for _ in range(200)]
+    points = [EstimatePoint(rng.randrange(0, 10 ** 12), 0.0, 0.0, r) for r in rates]
+    path = tmp_path / "est.csv"
+    write_estimates(points, str(path))
+    want = tmp_path / "want.csv"
+    with open(want, "w", newline="") as fh:
+        w = csv.writer(fh)
+        w.writerow(["time_us", "mu_hat_bps"])
+        for p in points:
+            w.writerow([p.time_us, f"{p.capped_bps:.1f}"])
+    assert path.read_bytes() == want.read_bytes()
 
-def test_replay_view_steps_through_estimates():
-    view = WifiReplayView([(0, 10e6), (1_000, 20e6)])
-    assert view.capacity(0) == 10e6
-    assert view.capacity(999) == 10e6
-    assert view.capacity(1_000) == 20e6
-    assert view.capacity(50_000) == 20e6
 
-
-def test_replay_view_validation():
-    with pytest.raises(ValueError):
-        WifiReplayView([])
-    with pytest.raises(ValueError):
-        WifiReplayView([(0, 1e6), (0, 2e6)])
+def test_readme_trace_header_parses(tmp_path):
+    # The header documented under "Trace CSV columns", with and without the
+    # optional user column, is the one read_mac_trace accepts.
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    lines = readme.splitlines()
+    at = next(i for i, line in enumerate(lines) if line.startswith("Trace CSV columns"))
+    header = next(line for line in lines[at + 1:] if line and not line.startswith("```"))
+    assert header.endswith("[,user]")
+    base = header[:-len("[,user]")]
+    for columns, row, user in ((base, "1000,4,12000,24000000,8,3000.000", 0),
+                               (base + ",user", "1000,4,12000,24000000,8,3000.000,2", 2)):
+        path = tmp_path / "trace.csv"
+        path.write_text(f"{columns}\n{row}\n")
+        assert read_mac_trace(str(path)) == [_event(t=1_000, user=user)]
