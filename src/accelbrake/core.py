@@ -77,11 +77,12 @@ ECN_SET = EcnCodepoint.ECN_SET
 class Packet:
     """One data segment in flight.
 
-    ``hop_trace`` is flat: ``hop_id, enqueue_time, dequeue_time`` is
-    appended for each queue the packet leaves.  It lives only until the
-    packet is delivered, when the engine copies the stamps into the run
-    log's columns (``MetricsLog.record_delivery``); a dropped packet's
-    stamps are discarded.
+    ``hop_trace`` is flat: ``enqueue_time, dequeue_time`` is appended for
+    each queue the packet leaves, so the pairs follow the path's hops in
+    order.  It lives only until the packet is delivered, when the engine
+    copies the stamps into the run log's columns
+    (``MetricsLog.record_delivery``); a dropped packet's stamps are
+    discarded.
     """
 
     flow_id: str

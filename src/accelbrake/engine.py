@@ -14,6 +14,7 @@ only delivers ACKs; transmissions happen when a window opens.
 from __future__ import annotations
 
 import itertools
+import os
 import random
 import re
 from dataclasses import dataclass, field
@@ -29,6 +30,12 @@ from .router import AbcParams, AbcRouter
 from .sender import AbcSender, CubicSender, FlowSender
 
 DELACK_TIMEOUT_US = 40_000
+
+
+def _check_file_name(name: str, value: str) -> None:
+    """Ids name output files (``flows/<id>.csv``, ``routers/<hop>.csv``)."""
+    if value in ("", ".", "..") or any(sep and sep in value for sep in ("/", os.altsep)):
+        raise ValueError(f"{name}: must be usable as a file name, got {value!r}")
 
 
 @dataclass
@@ -47,6 +54,7 @@ class HopSpec:
     initial_weight: float = 1.0
 
     def validate(self) -> None:
+        _check_file_name("hop_id", self.hop_id)
         if self.kind not in ("abc", "droptail"):
             raise ValueError(f"kind: unknown kind {self.kind!r}, expected abc or droptail")
         if self.ecn_threshold_pkts is not None and self.kind != "droptail":
@@ -75,6 +83,7 @@ class FlowSpec:
     bytes_budget: Optional[int] = None
 
     def validate(self) -> None:
+        _check_file_name("flow_id", self.flow_id)
         if self.scheme not in ("abc", "cubic"):
             raise ValueError(f"scheme: unknown scheme {self.scheme!r}, expected abc or cubic")
         check_fields(self, start_us=">= 0", fwd_delay_us=">= 0", rev_delay_us=">= 0",
@@ -328,7 +337,7 @@ class Simulation:
         pkt, enqueued_at = router.on_dequeue(now)
         hop, stats = self._hops[hop_idx]
         stats.dequeued_bytes += pkt.size_bytes
-        pkt.hop_trace.extend((hop.hop_id, enqueued_at, now))
+        pkt.hop_trace.extend((enqueued_at, now))
         arrival = now + hop.delay_to_next_us
         if hop_idx + 1 < len(self.routers):
             self._push(arrival, self._on_arrive, (hop_idx + 1, pkt))

@@ -12,11 +12,11 @@ instead of a record, a tuple per hop and an int object per stamp:
 - ``flow_ids`` (a list of the senders' own ``str`` objects), ``seqs``,
   ``sizes``, ``send_times`` and ``deliver_times`` (``array('q')``) hold
   one entry per delivered packet, in delivery order.
-- ``stamp_hops``, ``enqueue_times`` and ``dequeue_times`` hold one entry
-  per hop a delivered packet crossed, row after row and in path order
-  within a row.  ``stamp_hops`` indexes ``hop_ids``; row ``i``'s stamps
-  are ``stamp_offsets[i]:stamp_offsets[i + 1]`` (``stamp_offsets``
-  starts with 0), so rows whose paths differ stay representable.
+- Each hop's ``HopStats`` holds that hop's ``enqueue_times`` and
+  ``dequeue_times``, one entry per delivered packet in the same order.
+  Paths are single: every delivered packet crossed every hop, in the
+  order of ``hop_stats`` (the path order, filled in before the first
+  delivery), so row ``i``'s stamp at a hop is entry ``i`` of its columns.
 
 The statistics read the columns directly.  ``MetricsLog.deliveries`` is a
 read-only sequence of ``DeliveryRecord`` built from the columns one
@@ -65,9 +65,17 @@ class DropRecord:
 
 @dataclass(slots=True)
 class HopStats:
+    """One hop's byte and drop totals, and the queue stamps of its deliveries.
+
+    ``enqueue_times[i]`` and ``dequeue_times[i]`` are when the log's
+    ``i``-th delivered packet entered and left this hop's queue.
+    """
+
     opportunity_bytes: float = 0.0
     dequeued_bytes: int = 0
     drops: int = 0
+    enqueue_times: array = field(default_factory=partial(array, "q"), init=False, repr=False)
+    dequeue_times: array = field(default_factory=partial(array, "q"), init=False, repr=False)
 
 
 @dataclass
@@ -75,7 +83,7 @@ class MetricsLog:
     duration_us: SimTime = 0
     seed: int = 0
     drops: list = field(default_factory=list)
-    hop_stats: dict = field(default_factory=dict)
+    hop_stats: dict = field(default_factory=dict)  # hop -> HopStats, in path order
     # Optional detailed traces, filled in when a run asks for them.
     flow_samples: dict = field(default_factory=dict)    # flow -> [(t, w_abc, w_cubic, inflight, rate_bps)]
     router_samples: dict = field(default_factory=dict)  # hop -> [(t, queue, f, tr, cr, x_us, token, mark)]
@@ -85,46 +93,37 @@ class MetricsLog:
     sizes: array = field(default_factory=partial(array, "q"), init=False, repr=False)
     send_times: array = field(default_factory=partial(array, "q"), init=False, repr=False)
     deliver_times: array = field(default_factory=partial(array, "q"), init=False, repr=False)
-    stamp_hops: array = field(default_factory=partial(array, "i"), init=False, repr=False)
-    enqueue_times: array = field(default_factory=partial(array, "q"), init=False, repr=False)
-    dequeue_times: array = field(default_factory=partial(array, "q"), init=False, repr=False)
-    stamp_offsets: array = field(default_factory=partial(array, "q", [0]), init=False,
-                                 repr=False)
-    hop_ids: list = field(default_factory=list, init=False, repr=False)
-    _hop_index: dict = field(default_factory=dict, init=False, repr=False)
 
     def __post_init__(self):
-        # Every column's append, bound once: a delivery then looks up one
-        # attribute instead of nine.  The columns are never replaced.
+        # Every row column's append, bound once: a delivery then looks up
+        # one attribute instead of five.  The columns are never replaced.
         self._appends = (self.flow_ids.append, self.seqs.append, self.sizes.append,
-                         self.send_times.append, self.deliver_times.append,
-                         self.stamp_hops.append, self.enqueue_times.append,
-                         self.dequeue_times.append, self.stamp_offsets.append)
+                         self.send_times.append, self.deliver_times.append)
 
     def record_delivery(self, flow_id: str, seq: int, size_bytes: int,
                         send_time: SimTime, deliver_time: SimTime, hops) -> None:
         """Append one delivered packet.
 
-        ``hops`` is flat: ``hop_id, enqueue_time, dequeue_time`` for each
-        hop crossed, in path order (the layout of ``Packet.hop_trace``).
+        ``hops`` is flat: ``enqueue_time, dequeue_time`` for every hop of
+        ``hop_stats``, in path order (the layout of ``Packet.hop_trace``).
+        Any other number of stamps raises ValueError, and nothing is
+        appended.
         """
-        (add_flow, add_seq, add_size, add_send, add_deliver,
-         add_hop, add_enq, add_deq, add_offset) = self._appends
+        path = self.hop_stats.values()
+        if len(hops) != 2 * len(path):
+            raise ValueError(f"a delivery needs 2 stamps for each of {len(path)} hops, "
+                             f"got {len(hops)}")
+        add_flow, add_seq, add_size, add_send, add_deliver = self._appends
         add_flow(flow_id)
         add_seq(seq)
         add_size(size_bytes)
         add_send(send_time)
         add_deliver(deliver_time)
-        index = self._hop_index
-        for k in range(0, len(hops), 3):
-            hop = index.get(hops[k])
-            if hop is None:
-                hop = index[hops[k]] = len(self.hop_ids)
-                self.hop_ids.append(hops[k])
-            add_hop(hop)
-            add_enq(hops[k + 1])
-            add_deq(hops[k + 2])
-        add_offset(len(self.stamp_hops))
+        k = 0
+        for stats in path:
+            stats.enqueue_times.append(hops[k])
+            stats.dequeue_times.append(hops[k + 1])
+            k += 2
 
     def record_drop(self, rec: DropRecord) -> None:
         self.drops.append(rec)
@@ -159,9 +158,8 @@ class DeliveryView(Sequence):
 
     def _record(self, i: int) -> DeliveryRecord:
         log = self._log
-        stamps = tuple((log.hop_ids[log.stamp_hops[k]], log.enqueue_times[k],
-                        log.dequeue_times[k])
-                       for k in range(log.stamp_offsets[i], log.stamp_offsets[i + 1]))
+        stamps = tuple((hop_id, stats.enqueue_times[i], stats.dequeue_times[i])
+                       for hop_id, stats in log.hop_stats.items())
         return DeliveryRecord(log.flow_ids[i], log.seqs[i], log.sizes[i],
                               log.send_times[i], log.deliver_times[i], stamps)
 
@@ -178,10 +176,9 @@ def utilization(log: MetricsLog, hop_id: str) -> float:
 
 def _delays(log: MetricsLog, hop_id: str, start: SimTime, end: Optional[SimTime]):
     """Iterator over the queuing delays at one hop, for stamps dequeued in [start, end]."""
-    hop = log._hop_index.get(hop_id)  # None matches no stamp
-    return (deq - enq for h, enq, deq
-            in zip(log.stamp_hops, log.enqueue_times, log.dequeue_times)
-            if h == hop and deq >= start and (end is None or deq <= end))
+    stats = log.hop_stats.get(hop_id, HopStats())  # an unknown hop has no stamps
+    return (deq - enq for enq, deq in zip(stats.enqueue_times, stats.dequeue_times)
+            if deq >= start and (end is None or deq <= end))
 
 
 def hop_delays_us(log: MetricsLog, hop_id: str,

@@ -15,12 +15,15 @@ Estimates are smoothed over a short window and capped at twice the
 current dequeue rate -- the control loop can at most double a rate in one
 round trip, so a larger estimate is not actionable anyway.
 
-``CapacityFilter`` is the smoothing filter, one sample at a time: each
-sample weighs ``0.5 ** (age / half_life)`` with ``half_life = window/2``,
-and a sample leaves from the front of the window once its time is below
-``now - window``.  ``estimate_capacity`` evaluates the same filter at
-every event of a stream with a numpy kernel that gives bit-identical
-estimates.  It takes the stream ``_BLOCK`` events at a time:
+The smoothing filter keeps each event's projection and dequeue rate as a
+sample.  At an event's time ``now`` a sample weighs
+``0.5 ** (age / half_life)`` with ``half_life = window/2``, and samples
+leave from the front of the window once their time is below
+``now - window``; the estimate is each series' weighted mean over the
+samples left.  ``estimate_capacity`` evaluates this filter at every
+event of a stream with a numpy kernel whose estimates are bit-identical
+to a loop over the samples, oldest first.  It takes the stream
+``_BLOCK`` events at a time:
 
 1. The projection and the instantaneous rate of every event in the block
    as arrays, with ``backlogged_projection``'s and
@@ -59,7 +62,6 @@ import math
 import mmap
 import random
 from bisect import bisect_right
-from collections import deque
 from dataclasses import dataclass, replace
 from itertools import islice
 from typing import Callable, Optional, Sequence
@@ -103,44 +105,6 @@ def backlogged_projection(event: AmpduAckEvent) -> float:
     return event.max_batch * event.frame_bits * US_PER_S / (event.inter_ack_us + pad_us)
 
 
-class CapacityFilter:
-    """Windowed, exponentially weighted averages of two rate series.
-
-    Each sample carries two values taken at the same time (the estimator
-    feeds it the backlogged projection and the dequeue rate), so one
-    window serves both and every sample's weight is worked out once.
-    Samples older than ``window_us`` are dropped; within the window the
-    weight halves every ``window_us / 2`` of age, so the estimate leans on
-    the freshest acknowledgments without chasing single batches.
-    """
-
-    def __init__(self, window_us: SimTime = 40_000):
-        if window_us <= 0:
-            raise ValueError(f"filter window must be positive, got {window_us}")
-        self.window_us = int(window_us)
-        self._samples: deque[tuple[float, float, float]] = deque()
-
-    def add(self, time_us: float, first: float, second: float) -> None:
-        self._samples.append((time_us, first, second))
-
-    def value(self, now_us: float) -> Optional[tuple[float, float]]:
-        """The two weighted averages at ``now_us``, or None if the window is empty."""
-        cutoff = now_us - self.window_us
-        samples = self._samples
-        while samples and samples[0][0] < cutoff:
-            samples.popleft()
-        if not samples:
-            return None
-        half_life = self.window_us / 2.0
-        num_first = num_second = den = 0.0
-        for t, first, second in samples:
-            w = 0.5 ** ((now_us - t) / half_life)
-            num_first += w * first
-            num_second += w * second
-            den += w
-        return num_first / den, num_second / den
-
-
 @dataclass(slots=True)
 class EstimatePoint:
     time_us: SimTime
@@ -173,7 +137,7 @@ def _block_rates(block: list[AmpduAckEvent], gaps: np.ndarray):
 
 
 def _window_starts(times: np.ndarray, cutoffs: np.ndarray) -> np.ndarray:
-    """Where each event's window begins, as ``CapacityFilter`` pops it.
+    """Where each event's window begins, as the smoothing filter pops it.
 
     A sample leaves only from the front of the window, once its time is
     below the cutoff, so the front walks forward; times need not be in
@@ -346,9 +310,6 @@ class OverheadModel:
         floor, lognormvariate = self.floor_us, rng.lognormvariate
         return lambda: floor + lognormvariate(mu, sigma)
 
-    def sample(self, rng: random.Random) -> float:
-        return self.sampler(rng)()
-
 
 @dataclass
 class LinkProfile:
@@ -443,15 +404,16 @@ MAC_TRACE_COLUMNS = ["time_us", "b", "S_bits", "R_bps", "M", "T_IA_us"]
 
 
 def write_mac_trace(events: Sequence[AmpduAckEvent], path: str) -> None:
-    multi_user = len({ev.user for ev in events}) > 1
-    header = MAC_TRACE_COLUMNS + (["user"] if multi_user else [])
+    """Write a trace; the ``user`` column is left out when every user is 0."""
+    with_user = any(ev.user for ev in events)
+    header = MAC_TRACE_COLUMNS + (["user"] if with_user else [])
     with open(path, "w", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(header)
         for ev in events:
             row = [ev.time_us, ev.batch_frames, ev.frame_bits,
                    f"{ev.phy_rate_bps:.0f}", ev.max_batch, f"{ev.inter_ack_us:.3f}"]
-            if multi_user:
+            if with_user:
                 row.append(ev.user)
             w.writerow(row)
 

@@ -182,6 +182,19 @@ def test_malformed_scenarios_name_the_key(mutate, fragment):
     (lambda d: d.update(duration_s=float("nan")), "scenario.duration_s: expected a finite"),
     (lambda d: d.update(flows=[{"id": "short000001"}], shorts={"load_mbps": 5}),
      "scenario: flow id 'short000001' is reserved for short flows"),
+    # Ids name the files flows/<id>.csv and routers/<hop>.csv.
+    (lambda d: d["flows"][0].update(id="x/y"),
+     "scenario.flows[0].id: must be usable as a file name, got 'x/y'"),
+    (lambda d: d["flows"][0].update(id=""),
+     "scenario.flows[0].id: must be usable as a file name, got ''"),
+    (lambda d: d["flows"][0].update(id="../escaped"),
+     "scenario.flows[0].id: must be usable as a file name, got '../escaped'"),
+    (lambda d: d["flows"][0].update(id=".."),
+     "scenario.flows[0].id: must be usable as a file name, got '..'"),
+    (lambda d: d["hops"][0].update(id="."),
+     "scenario.hops[0].id: must be usable as a file name, got '.'"),
+    (lambda d: d["hops"][0].update(id="a/b"),
+     "scenario.hops[0].id: must be usable as a file name, got 'a/b'"),
 ])
 def test_spec_rules_name_the_yaml_key(mutate, message):
     data = _scenario()

@@ -150,6 +150,10 @@ def test_topology_validation_errors():
         Topology([hop, HopSpec("h", FixedLink(1e6))], [FlowSpec("f")]).validate()
     with pytest.raises(ValueError, match="unknown kind"):
         Topology([HopSpec("x", FixedLink(1e6), kind="red")], [FlowSpec("f")]).validate()
+    with pytest.raises(ValueError, match=re.escape("flows[0].flow_id: must be usable as a file")):
+        Topology([hop], [FlowSpec("x/y")]).validate()
+    with pytest.raises(ValueError, match=re.escape("hops[0].hop_id: must be usable as a file")):
+        Topology([HopSpec("..", FixedLink(1e6))], [FlowSpec("f")]).validate()
 
 
 @pytest.mark.parametrize("hop, flow, shorts, message", [
@@ -240,9 +244,21 @@ def test_random_topologies_dequeue_once_per_instant_and_conserve_packets(topo, s
     # strictly later than the dequeue before it.
     sim = Simulation(topo, duration_us=1_000_000, seed=seed)
     log = sim.run()
-    for hop in range(len(log.hop_ids)):
-        stamps = sorted(deq for h, deq in zip(log.stamp_hops, log.dequeue_times) if h == hop)
-        assert all(a < b for a, b in zip(stamps, stamps[1:])), log.hop_ids[hop]
+    for hop_id, stats in log.hop_stats.items():
+        stamps = sorted(stats.dequeue_times)
+        assert all(a < b for a, b in zip(stamps, stamps[1:])), hop_id
+    # Every delivered packet has one stamp pair per hop, in path order, and
+    # went from queue to queue in exactly the propagation delays.
+    path = [hop.hop_id for hop in topo.hops]
+    fwd_delay = {flow.flow_id: flow.fwd_delay_us for flow in topo.flows}
+    short_delay = topo.shorts.fwd_delay_us if topo.shorts else None
+    for rec in log.deliveries:
+        assert [hop_id for hop_id, _, _ in rec.hops] == path
+        arrival = rec.send_time + fwd_delay.get(rec.flow_id, short_delay)
+        for hop, (_, enq, deq) in zip(topo.hops, rec.hops):
+            assert enq == arrival and enq <= deq, rec
+            arrival = deq + hop.delay_to_next_us
+        assert rec.deliver_time == arrival, rec
     c = sim.census()
     assert c["sent"] == c["delivered"] + c["dropped"] + c["queued"] + c["in_flight"]
 

@@ -3,8 +3,8 @@
 Memory traced across ``run()``, divided by the packets delivered, covers
 the delivery log plus whatever else a run keeps (short flows' state, the
 heap, queued packets).  With the column-oriented log it measures about
-120 B per delivery on both scenarios below; a log of one record and one
-tuple per hop per delivery measured 380-500 B.
+90-105 B per delivery on both scenarios below; a log of one record and
+one tuple per hop per delivery measured 380-500 B.
 
 A finished short flow leaves ``Simulation.flows``, so 8 s of
 coexist_shorts ends with a few dozen runtimes instead of 1,919.  The
@@ -81,7 +81,7 @@ def test_report_memory_per_stamp(shorts_8s):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    stamps = len(log.stamp_hops)
+    stamps = sum(len(stats.dequeue_times) for stats in log.hop_stats.values())
     assert stamps > 50_000
     assert peak / stamps < MAX_REPORT_BYTES_PER_STAMP, f"{peak / stamps:.1f} B per stamp"
 

@@ -20,16 +20,18 @@ from accelbrake.metrics import (
 )
 
 
-def _deliver(log, fid, seq, deliver, hops, size=1500, send=0):
-    log.record_delivery(fid, seq, size, send, deliver, [x for hop in hops for x in hop])
+def _deliver(log, fid, seq, deliver, stamps, size=1500, send=0):
+    """Record a delivery; ``stamps`` is one ``(enq, deq)`` per hop of the path."""
+    log.record_delivery(fid, seq, size, send, deliver, [t for pair in stamps for t in pair])
 
 
 def _log_with_hop_delays(delays, hop="h"):
-    """One delivery per delay value, dequeued at 1000*i."""
+    """A one-hop log with one delivery per delay value, dequeued at 1000*i."""
     log = MetricsLog(duration_us=1_000_000)
+    log.hop_stats[hop] = HopStats()
     for i, d in enumerate(delays):
         deq = 1_000 * (i + 1)
-        _deliver(log, "f", i, deq + 10, [(hop, deq - d, deq)])
+        _deliver(log, "f", i, deq + 10, [(deq - d, deq)])
     return log
 
 
@@ -44,29 +46,43 @@ def test_utilization_ratio_and_errors():
         utilization(log, "idle")
 
 
-def test_hop_delays_filter_by_hop_and_window():
+def _two_hop_log():
     log = MetricsLog()
-    _deliver(log, "f", 0, 900, [("a", 0, 500), ("b", 600, 800)])
-    _deliver(log, "f", 1, 2_000, [("a", 900, 1_500)])
+    log.hop_stats.update(a=HopStats(), b=HopStats())  # the path: a, then b
+    return log
+
+
+def test_hop_delays_filter_by_hop_and_window():
+    log = _two_hop_log()
+    _deliver(log, "f", 0, 900, [(0, 500), (600, 800)])
+    _deliver(log, "f", 1, 2_000, [(900, 1_500), (1_600, 1_900)])
     assert hop_delays_us(log, "a") == [500, 600]
-    assert hop_delays_us(log, "b") == [200]
+    assert hop_delays_us(log, "b") == [200, 300]
+    assert hop_delays_us(log, "elsewhere") == []
     # Window bounds apply to the dequeue instant, inclusive on both ends.
     assert hop_delays_us(log, "a", start=500, end=500) == [500]
     assert hop_delays_us(log, "a", start=501) == [600]
 
 
+def test_delivery_needs_one_stamp_pair_per_hop():
+    log = _two_hop_log()
+    for stamps in ([], [(0, 500)], [(0, 500), (600, 800), (900, 900)]):
+        with pytest.raises(ValueError, match="2 stamps for each of 2 hops"):
+            _deliver(log, "f", 0, 900, stamps)
+    assert len(log.deliveries) == 0
+    _deliver(log, "f", 0, 900, [(0, 500), (600, 800)])
+    assert log.deliveries[0].hops == (("a", 0, 500), ("b", 600, 800))
+
+
 def test_report_percentiles_per_hop():
-    log = MetricsLog()
-    for hop in ("a", "b", "idle"):
-        log.hop_stats[hop] = HopStats()
-    _deliver(log, "f", 0, 900, [("a", 0, 500), ("b", 600, 800)])
-    _deliver(log, "f", 1, 2_000, [("a", 900, 1_500), ("x", 1_500, 1_700)])
-    _deliver(log, "f", 2, 3_000, [("a", 2_000, 2_500)])
-    # Hops outside hop_stats are skipped; a hop that served nothing gets None.
+    log = _two_hop_log()
+    _deliver(log, "f", 0, 900, [(0, 500), (600, 800)])
+    _deliver(log, "f", 1, 2_000, [(900, 1_500), (1_500, 1_700)])
+    _deliver(log, "f", 2, 3_000, [(2_000, 2_500), (2_600, 2_700)])
     hops = report(log)["hops"]
-    assert list(hops) == ["a", "b", "idle"]
+    assert list(hops) == ["a", "b"]
     assert [(h["delay_p50_us"], h["delay_p95_us"]) for h in hops.values()] == [
-        (500, 600), (200, 200), (None, None)]
+        (500, 600), (200, 200)]
 
 
 def test_nearest_rank_walks_the_histogram():
@@ -114,7 +130,7 @@ def test_jain_index_rejects_degenerate_input():
 def test_throughput_window_is_left_open_right_closed():
     log = MetricsLog()
     for deliver in (1_000, 2_000, 3_000):
-        _deliver(log, "f", deliver, deliver, [("h", 0, deliver)])
+        _deliver(log, "f", deliver, deliver, [])
     # Delivery at exactly `start` is excluded, at exactly `end` included.
     got = flow_throughputs(log, 1_000, 3_000)
     assert got["f"] == pytest.approx(2 * 1500 * 8 * 1e6 / 2_000)
@@ -147,7 +163,7 @@ def test_drop_recording_updates_hop_stats():
 def test_write_outputs_layout(tmp_path):
     log = MetricsLog(duration_us=3_000_000, seed=42)
     log.hop_stats["h"] = HopStats(opportunity_bytes=10_000, dequeued_bytes=5_000)
-    _deliver(log, "f", 0, 2_500_000, [("h", 0, 400)])
+    _deliver(log, "f", 0, 2_500_000, [(0, 400)])
     log.flow_samples["f"] = [(1_000_000, 2.0, 3.0, 1, 1e6)]
     log.router_samples["h"] = [(400, "abc", 0.5, 1e6, 9e5, 400, 1.0, "ACCEL")]
     out = tmp_path / "run"
@@ -171,9 +187,9 @@ def test_write_outputs_layout(tmp_path):
 def test_report_leaves_missing_figures_as_none():
     log = MetricsLog(duration_us=3_000_000, seed=7)
     log.hop_stats["b"] = HopStats(opportunity_bytes=10_000, dequeued_bytes=3_000)
-    log.hop_stats["a"] = HopStats()  # no opportunities, nothing crossed it
-    _deliver(log, "early", 0, 900_000, [("b", 0, 700)])  # before the steady window
-    _deliver(log, "late", 0, 1_500_000, [("b", 1_000, 1_300)])
+    log.hop_stats["a"] = HopStats()  # no opportunities
+    _deliver(log, "early", 0, 900_000, [(0, 700), (800, 800)])  # before the steady window
+    _deliver(log, "late", 0, 1_500_000, [(1_000, 1_300), (1_400, 1_400)])
     log.record_drop(DropRecord("late", 1, "b", 1_600_000))
     rep = report(log)
     assert rep == {
@@ -182,18 +198,23 @@ def test_report_leaves_missing_figures_as_none():
             "b": {"dequeued_bytes": 3_000, "drops": 1, "utilization": 0.3,
                   "delay_p50_us": 300, "delay_p95_us": 700},
             "a": {"dequeued_bytes": 0, "drops": 0, "utilization": None,
-                  "delay_p50_us": None, "delay_p95_us": None},
+                  "delay_p50_us": 0, "delay_p95_us": 0},
         },
         "flows": {"late": 1500 * 8 / 2.0},
     }
     assert list(rep["hops"]) == ["b", "a"]  # hop_stats order
+    # Before any delivery no hop has a delay to report.
+    log = MetricsLog()
+    log.hop_stats["h"] = HopStats()
+    assert report(log)["hops"]["h"] == {"dequeued_bytes": 0, "drops": 0, "utilization": None,
+                                       "delay_p50_us": None, "delay_p95_us": None}
     assert report(MetricsLog())["flows"] == {}  # a zero-length run has no steady window
 
 
 def test_write_outputs_skips_empty_sample_dirs(tmp_path):
     log = MetricsLog(duration_us=3_000_000)
     log.hop_stats["h"] = HopStats(opportunity_bytes=10_000, dequeued_bytes=5_000)
-    _deliver(log, "f", 0, 2_500_000, [("h", 0, 400)])
+    _deliver(log, "f", 0, 2_500_000, [(0, 400)])
     out = tmp_path / "run"
     write_outputs(log, str(out))
     assert sorted(os.listdir(out)) == ["summary.txt"]

@@ -3,9 +3,9 @@
 ``_ReferenceLog`` keeps the earlier layout: one ``DeliveryRecord`` per
 delivered packet, with a ``hops`` tuple of ``(hop_id, enq, deq)``, and the
 statistics scan those records and sort a list of delays for a percentile.
-Random deliveries over random paths (hops in any order, some missing from
-``hop_stats``) and random windows must give the same delays, percentiles,
-throughputs and records from both.
+Random deliveries over one random path per example (its hops in any
+order, given to both logs as ``hop_stats``) and random windows must give
+the same delays, percentiles, throughputs and records from both.
 """
 
 import math
@@ -73,8 +73,7 @@ _times = st.integers(0, 5_000)
 
 
 @st.composite
-def _delivery(draw):
-    path = draw(st.lists(st.sampled_from(HOPS), unique=True, max_size=len(HOPS)))
+def _delivery(draw, path):
     send = draw(_times)
     stamps, t = [], send
     for hop in path:
@@ -87,21 +86,27 @@ def _delivery(draw):
                           tuple(stamps))
 
 
+@st.composite
+def _path_and_deliveries(draw):
+    path = draw(st.lists(st.sampled_from(HOPS), unique=True, max_size=len(HOPS)))
+    return path, draw(st.lists(_delivery(path), max_size=40))
+
+
 @settings(max_examples=300, deadline=None)
-@given(records=st.lists(_delivery(), max_size=40),
-       stats_hops=st.lists(st.sampled_from(HOPS), unique=True),
+@given(path_and_records=_path_and_deliveries(),
        start=_times, end=st.one_of(st.none(), _times),
        p=st.floats(0.0, 1.0, exclude_min=True),
        tp_start=_times, tp_width=st.integers(1, 8_000),
        requested=st.one_of(st.none(), st.lists(st.sampled_from(FLOWS + ["quiet"]))))
-def test_column_log_matches_record_list(records, stats_hops, start, end, p,
+def test_column_log_matches_record_list(path_and_records, start, end, p,
                                         tp_start, tp_width, requested):
+    path, records = path_and_records
     log = MetricsLog()
-    ref = _ReferenceLog({h: HopStats() for h in stats_hops})
-    log.hop_stats.update({h: HopStats() for h in stats_hops})
+    ref = _ReferenceLog({h: HopStats() for h in path})
+    log.hop_stats.update({h: HopStats() for h in path})
     for rec in records:
         log.record_delivery(rec.flow_id, rec.seq, rec.size_bytes, rec.send_time,
-                            rec.deliver_time, [x for stamp in rec.hops for x in stamp])
+                            rec.deliver_time, [t for _, enq, deq in rec.hops for t in (enq, deq)])
         ref.deliveries.append(rec)
 
     for hop in HOPS + ["unknown"]:

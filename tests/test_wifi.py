@@ -8,7 +8,6 @@ import pytest
 
 from accelbrake.wifi import (
     AmpduAckEvent,
-    CapacityFilter,
     EstimatePoint,
     LinkProfile,
     OverheadModel,
@@ -58,30 +57,40 @@ def test_projection_validates_batch_size():
 
 
 # ------------------------------------------------------------------- filter
+# The estimator's smoothing filter: each event adds its backlogged
+# projection and its dequeue rate to the window as one sample.
 
-def test_filter_empty_returns_none():
-    assert CapacityFilter(40_000).value(0) is None
+def test_filter_empty_stream_gives_no_estimates():
+    assert estimate_capacity([]) == []
+    assert estimate_capacity_per_user([]) == {}
 
 
 def test_filter_rejects_bad_window():
-    with pytest.raises(ValueError):
-        CapacityFilter(0)
+    for window in (0, -1):
+        with pytest.raises(ValueError, match="filter window must be positive"):
+            estimate_capacity([_event(t=1_000)], window_us=window)
 
 
 def test_filter_halves_weight_per_half_window():
-    f = CapacityFilter(40_000)
-    f.add(0, 10.0, 1.0)
-    f.add(20_000, 20.0, 4.0)
+    events = [_event(t=0, b=2), _event(t=20_000, b=8)]
+    point = estimate_capacity(events, window_us=40_000)[1]
     # The older sample is one half-life old: weight 0.5 against 1.0.
-    assert f.value(20_000) == pytest.approx(((0.5 * 10 + 20) / 1.5, (0.5 * 1 + 4) / 1.5))
+    assert (point.raw_bps, point.current_bps) == pytest.approx(
+        [(0.5 * f(events[0]) + f(events[1])) / 1.5
+         for f in (backlogged_projection, instantaneous_rate)])
 
 
 def test_filter_drops_samples_outside_window():
-    f = CapacityFilter(40_000)
-    f.add(0, 10.0, 1.0)
-    f.add(20_000, 20.0, 4.0)
-    assert f.value(40_001) == pytest.approx((20.0, 4.0))
-    assert f.value(60_001) is None
+    events = [_event(t=0, b=2), _event(t=20_000, b=8), _event(t=40_001, b=4)]
+    points = estimate_capacity(events, window_us=40_000)
+    # At 40,001 the sample at 0 has left; the one at 20,000 is just over a
+    # half-life old.
+    w = 0.5 ** (20_001 / 20_000)
+    assert points[2].raw_bps == pytest.approx(
+        (w * backlogged_projection(events[1]) + backlogged_projection(events[2])) / (w + 1))
+    # After a silence longer than the window, only the event's own sample is left.
+    late = _event(t=100_002, b=2)
+    assert estimate_capacity(events + [late])[3].raw_bps == backlogged_projection(late)
 
 
 # ---------------------------------------------------------------- estimator
@@ -133,14 +142,14 @@ def test_merge_recomputes_shared_gaps():
 
 def test_overhead_model_statistics():
     m = OverheadModel(mean_us=1_000, std_us=300, floor_us=200)
-    rng = random.Random(0)
-    samples = [m.sample(rng) for _ in range(20_000)]
+    draw = m.sampler(random.Random(0))
+    samples = [draw() for _ in range(20_000)]
     assert min(samples) >= 200
     assert sum(samples) / len(samples) == pytest.approx(1_000, rel=0.02)
 
 
 def test_overhead_model_degenerate_and_invalid():
-    assert OverheadModel(std_us=0).sample(random.Random(1)) == 1000.0
+    assert OverheadModel(std_us=0).sampler(random.Random(1))() == 1000.0
     with pytest.raises(ValueError):
         OverheadModel(mean_us=100, floor_us=200).validate()
     with pytest.raises(ValueError):
@@ -217,13 +226,19 @@ def test_trace_file_roundtrip(tmp_path):
     write_mac_trace(events, str(path))
     back = read_mac_trace(str(path))
     assert back == events
+    # Every user is 0: the file has no user column.
+    assert path.read_text().splitlines()[0] == "time_us,b,S_bits,R_bps,M,T_IA_us"
 
 
 def test_multiuser_trace_keeps_user_column(tmp_path):
-    events = [_event(t=1_000, user=0), _event(t=2_000, user=1)]
+    # Two stations, and a lone station that is not station 0.
     path = tmp_path / "mu.csv"
-    write_mac_trace(events, str(path))
-    assert read_mac_trace(str(path)) == events
+    for events in ([_event(t=1_000, user=0), _event(t=2_000, user=1)],
+                   [_event(t=1_000, user=3), _event(t=2_000, user=3)]):
+        write_mac_trace(events, str(path))
+        back = read_mac_trace(str(path))
+        assert back == events
+        assert set(estimate_capacity_per_user(back)) == {ev.user for ev in events}
 
 
 def test_trace_reader_rejects_garbage(tmp_path):
