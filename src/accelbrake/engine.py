@@ -7,6 +7,13 @@ firing at the same microsecond are processed in scheduling order, and
 all randomness (short-flow arrivals) comes from one seeded generator, so
 two runs with the same seed produce identical logs.
 
+A packet leaving a last hop that has no delay is delivered at the same
+microsecond.  When no other event is due then, that delivery would be
+the next event popped anyway, so the dequeue handler runs it directly,
+after its own pushes, instead of pushing it and popping it straight
+back; otherwise it is pushed like any other event.  Either way it runs
+in scheduling order.
+
 ACK clocking is emergent: the engine never paces a sender directly, it
 only delivers ACKs; transmissions happen when a window opens.
 """
@@ -32,10 +39,15 @@ from .sender import AbcSender, CubicSender, FlowSender
 DELACK_TIMEOUT_US = 40_000
 
 
-def _check_file_name(name: str, value: str) -> None:
-    """Ids name output files (``flows/<id>.csv``, ``routers/<hop>.csv``)."""
+def _check_id(name: str, value: str) -> None:
+    """Ids name output files (``flows/<id>.csv``, ``routers/<hop>.csv``) and
+    are pasted into ``summary.txt``'s ``key=value`` lines (``hop.<id>.drops=0``)."""
     if value in ("", ".", "..") or any(sep and sep in value for sep in ("/", os.altsep)):
         raise ValueError(f"{name}: must be usable as a file name, got {value!r}")
+    # A newline or an '=' would forge summary lines.
+    if "=" in value or not value.isprintable():
+        raise ValueError(f"{name}: must hold no '=' and no non-printable character, "
+                         f"got {value!r}")
 
 
 @dataclass
@@ -54,7 +66,7 @@ class HopSpec:
     initial_weight: float = 1.0
 
     def validate(self) -> None:
-        _check_file_name("hop_id", self.hop_id)
+        _check_id("hop_id", self.hop_id)
         if self.kind not in ("abc", "droptail"):
             raise ValueError(f"kind: unknown kind {self.kind!r}, expected abc or droptail")
         if self.ecn_threshold_pkts is not None and self.kind != "droptail":
@@ -83,7 +95,7 @@ class FlowSpec:
     bytes_budget: Optional[int] = None
 
     def validate(self) -> None:
-        _check_file_name("flow_id", self.flow_id)
+        _check_id("flow_id", self.flow_id)
         if self.scheme not in ("abc", "cubic"):
             raise ValueError(f"scheme: unknown scheme {self.scheme!r}, expected abc or cubic")
         check_fields(self, start_us=">= 0", fwd_delay_us=">= 0", rev_delay_us=">= 0",
@@ -206,6 +218,13 @@ class Simulation:
         self.seed = seed
         self.receiver_coalesce = receiver_coalesce
         self._rng = random.Random(seed)
+        # The per-packet handlers, bound once: a push then allocates no
+        # bound method.  A subclass's override is what gets bound.
+        self._on_arrive = self._on_arrive
+        self._on_dequeue = self._on_dequeue
+        self._on_deliver = self._on_deliver
+        self._on_delack = self._on_delack
+        self._on_ack = self._on_ack
         self._heap: list = []
         # Tie-break for events at the same microsecond: scheduling order.
         self._counter = itertools.count()
@@ -307,8 +326,8 @@ class Simulation:
     def _on_arrive(self, hop_idx: int, pkt: Packet) -> None:
         router = self.routers[hop_idx]
         victim = router.enqueue(pkt, self.now)
-        if victim is not pkt:
-            self._schedule_dequeue_if_idle(hop_idx)
+        if victim is not pkt and not self._busy[hop_idx]:
+            self._schedule_dequeue(hop_idx)
         if victim is not None:
             hop_id = self._hops[hop_idx][0].hop_id
             self.log.record_drop(DropRecord(victim.flow_id, victim.seq, hop_id, self.now))
@@ -317,9 +336,8 @@ class Simulation:
             if not runtime.live:
                 self._retire_if_finished(runtime)
 
-    def _schedule_dequeue_if_idle(self, hop_idx: int) -> None:
-        if self._busy[hop_idx]:
-            return
+    def _schedule_dequeue(self, hop_idx: int) -> None:
+        """Wake an idle hop at its link's next opportunity."""
         # A hop goes idle only at a wake-up strictly after its last dequeue
         # (or for good), so an opportunity at now has not been used.
         t = self._hops[hop_idx][0].link.next_delivery(self.now)
@@ -338,30 +356,43 @@ class Simulation:
         hop, stats = self._hops[hop_idx]
         stats.dequeued_bytes += pkt.size_bytes
         pkt.hop_trace.extend((enqueued_at, now))
+        heap = self._heap
+        counter = self._counter
         arrival = now + hop.delay_to_next_us
+        deliver_now = False
         if hop_idx + 1 < len(self.routers):
-            self._push(arrival, self._on_arrive, (hop_idx + 1, pkt))
+            heappush(heap, (arrival, next(counter), self._on_arrive, (hop_idx + 1, pkt)))
+        elif arrival == now and not (heap and heap[0][0] <= now):
+            # No other event is due at now, so the delivery pushed here
+            # would be the next one popped: run it below, after this
+            # handler's own pushes, instead of round-tripping the heap.
+            deliver_now = True
         else:
-            self._push(arrival, self._on_deliver, (pkt,))
+            heappush(heap, (arrival, next(counter), self._on_deliver, (pkt,)))
         t = hop.link.next_delivery(now, after=True)
         if t is None:
             self._busy[hop_idx] = False
         else:
-            self._push(t, self._on_dequeue, (hop_idx,))
+            heappush(heap, (t, next(counter), self._on_dequeue, (hop_idx,)))
+        if deliver_now:
+            self._on_deliver(pkt)
 
     def _on_deliver(self, pkt: Packet) -> None:
+        now = self.now
         self.log.record_delivery(pkt.flow_id, pkt.seq, pkt.size_bytes, pkt.send_time,
-                                 self.now, pkt.hop_trace)
+                                 now, pkt.hop_trace)
         runtime = self.flows[pkt.flow_id]
         runtime.live -= 1
-        acks = runtime.echo.on_packet(pkt, self.now)
+        echo = runtime.echo
+        acks = echo.on_packet(pkt, now)
         if acks:
             runtime.delack_epoch += 1
+            at = now + runtime.rev_delay_us
             for ack in acks:
-                self._push(self.now + runtime.rev_delay_us, self._on_ack, (runtime, ack))
-        elif runtime.echo.pending_count > 0:
-            self._push(self.now + DELACK_TIMEOUT_US, self._on_delack,
-                       (runtime, runtime.delack_epoch))
+                heappush(self._heap, (at, next(self._counter), self._on_ack, (runtime, ack)))
+        elif echo.pending_count > 0:
+            heappush(self._heap, (now + DELACK_TIMEOUT_US, next(self._counter),
+                                  self._on_delack, (runtime, runtime.delack_epoch)))
         if not runtime.live:
             self._retire_if_finished(runtime)
 
@@ -378,8 +409,9 @@ class Simulation:
 
     def _dispatch_sends(self, runtime: _FlowRuntime, pkts: list[Packet]) -> None:
         runtime.live += len(pkts)
+        at = self.now + runtime.fwd_delay_us
         for pkt in pkts:
-            self._push(self.now + runtime.fwd_delay_us, self._on_arrive, (0, pkt))
+            heappush(self._heap, (at, next(self._counter), self._on_arrive, (0, pkt)))
         if runtime.sender.unacked and not runtime.rto_armed:
             runtime.rto_armed = True
             self._push(self.now + runtime.rto_us, self._on_rto, (runtime,))

@@ -34,21 +34,29 @@ class EchoState:
         self.ece_pending = False
 
     def on_packet(self, pkt: Packet, now: SimTime) -> list[Ack]:
-        """Absorb one delivered packet, returning any ACKs to emit now."""
+        """Absorb one delivered packet, returning any ACKs to emit now.
+
+        A packet whose accel/brake mark differs from the current run's
+        first flushes the old run (if any) under the old mark, then joins
+        the pending count and is acknowledged at once under its own mark.
+        Any other packet joins the pending count, and an ACK goes out once
+        ``coalesce`` packets are pending.
+        """
         ecn = pkt.ecn
         if ecn is ECN_SET:
             self.ece_pending = True
         acks: list[Ack] = []
-        if (ecn is ACCEL or ecn is BRAKE) and ecn is not self.last_mark:
+        switched = (ecn is ACCEL or ecn is BRAKE) and ecn is not self.last_mark
+        if switched:
             if self.pending_count > 0:
                 acks.append(self._emit(now))
             self.last_mark = ecn
-            self._absorb(pkt)
+        self.pending_count += 1
+        self.pending_bytes += pkt.size_bytes
+        if pkt.seq > self.highest_seq:
+            self.highest_seq = pkt.seq
+        if switched or self.pending_count >= self.coalesce:
             acks.append(self._emit(now))
-        else:
-            self._absorb(pkt)
-            if self.pending_count >= self.coalesce:
-                acks.append(self._emit(now))
         return acks
 
     def flush(self, now: SimTime) -> Optional[Ack]:
@@ -57,21 +65,9 @@ class EchoState:
             return None
         return self._emit(now)
 
-    def _absorb(self, pkt: Packet) -> None:
-        self.pending_count += 1
-        self.pending_bytes += pkt.size_bytes
-        if pkt.seq > self.highest_seq:
-            self.highest_seq = pkt.seq
-
     def _emit(self, now: SimTime) -> Ack:
-        ack = Ack(
-            flow_id=self.flow_id,
-            acked_seq=self.highest_seq,
-            bytes_newly_acked=self.pending_bytes,
-            echo_mark=self.last_mark,
-            ece=self.ece_pending,
-            recv_time=now,
-        )
+        ack = Ack(self.flow_id, self.highest_seq, self.pending_bytes, self.last_mark,
+                  self.ece_pending, now)
         self.pending_count = 0
         self.pending_bytes = 0
         self.ece_pending = False

@@ -91,7 +91,12 @@ def accel_fraction(target_bps: float, dequeue_bps: float) -> float:
 
 
 class RateWindow:
-    """Sliding-window dequeue rate: bytes sent in the last ``window_us``."""
+    """Sliding-window dequeue rate: bytes sent in the last ``window_us``.
+
+    ``add`` is the whole window: it appends the bytes sent at ``now``,
+    evicts every entry at or before ``now - window_us`` and returns the
+    rate over what is left.  ``add(now, 0)`` reads the rate at ``now``.
+    """
 
     def __init__(self, window_us: SimTime):
         if window_us <= 0:
@@ -101,21 +106,17 @@ class RateWindow:
         self._bytes = 0
 
     def add(self, now: SimTime, n_bytes: int) -> float:
-        """Record bytes sent at ``now``; returns ``rate(now)`` afterwards."""
-        self._events.append((now, n_bytes))
-        self._bytes += n_bytes
-        return self.rate(now)
-
-    def rate(self, now: SimTime) -> float:
-        """Current rate in bits/s (bytes in window divided by the window)."""
-        self._evict(now)
-        return self._bytes * 8 * US_PER_S / self.window_us
-
-    def _evict(self, now: SimTime) -> None:
-        cutoff = now - self.window_us
+        """Record bytes sent at ``now``; returns the rate in bits/s afterwards."""
         events = self._events
-        while events and events[0][0] <= cutoff:
-            self._bytes -= events.popleft()[1]
+        events.append((now, n_bytes))
+        total = self._bytes + n_bytes
+        cutoff = now - self.window_us
+        # The entry just appended is newer than the cutoff, so the deque
+        # never runs empty here.
+        while events[0][0] <= cutoff:
+            total -= events.popleft()[1]
+        self._bytes = total
+        return total * 8 * US_PER_S / self.window_us
 
 
 class MarkerState:
@@ -313,14 +314,15 @@ class AbcRouter:
     def weight_abc(self) -> float:
         return self.queue.weight_abc
 
-    @staticmethod
-    def classify(pkt: Packet) -> str:
-        ecn = pkt.ecn
-        return ABC_QUEUE if ecn is ACCEL or ecn is BRAKE else LEGACY_QUEUE
-
     def enqueue(self, pkt: Packet, now: SimTime) -> Optional[Packet]:
-        """Queue a packet; returns the dropped packet on overflow, else None."""
-        return self.queue.enqueue(self.classify(pkt), pkt, now)
+        """Queue a packet; returns the dropped packet on overflow, else None.
+
+        Accelerated and braked packets join the ABC queue, everything else
+        the legacy queue.
+        """
+        ecn = pkt.ecn
+        tag = ABC_QUEUE if ecn is ACCEL or ecn is BRAKE else LEGACY_QUEUE
+        return self.queue.enqueue(tag, pkt, now)
 
     def backlog(self) -> int:
         return self.queue.backlog()

@@ -11,9 +11,12 @@ flight: feedback can at most double the send rate over one RTT, so any
 larger window is stale information.
 
 A legacy sender is the same machine without the mark-driven window.
-``FlowSender`` therefore owns the Cubic window, the ACK reaction and the
-timeout; ``AbcSender`` adds the accel/brake window and its mark update,
-and ``CubicSender`` adds nothing but its own names for the entry points.
+``FlowSender`` therefore owns the Cubic window, the timeout and the one
+ACK reaction, ``on_ack``, whose accel/brake step runs only for a sender
+that has ``w_abc``.  ``AbcSender`` adds that window and the accelerated
+initial mark; ``CubicSender`` adds nothing.  Both still bind ``on_ack``
+and ``on_timeout`` in their own class bodies, because perfbench's tracer
+wraps each flavor's entry points through the class ``__dict__``.
 """
 
 from __future__ import annotations
@@ -56,9 +59,10 @@ def lost_ack_drift(accel_fraction: float, delivery_prob: float, window: float) -
 class FlowSender:
     """A window-limited sender driven by its Cubic window ``w_cubic``.
 
-    The ACK reaction (``_on_ack``) and the timeout live here once.  A
-    subclass with a second window overrides ``effective_window`` and
-    ``_clamp_windows`` and updates that window before ``_on_ack`` runs.
+    The ACK reaction (``on_ack``) and the timeout live here once, in one
+    body each.  ``w_abc`` is None here; a sender that sets it gets the
+    accel/brake window too: ``on_ack`` moves it by the echoed mark, the
+    cap clamps it and the effective window is the smaller of the two.
 
     ``unacked`` maps each unacknowledged sequence number to ``(bytes,
     sent_at)``.  Its keys are always the contiguous range
@@ -66,6 +70,9 @@ class FlowSender:
     ``next_seq``, ``_retire`` removes a prefix and ``on_timeout`` empties
     it, so the lowest unacknowledged sequence number needs no search.
     """
+
+    # The accel/brake window; None for a sender without one.
+    w_abc: Optional[float] = None
 
     def __init__(self, flow_id: str, initial_window: float = 10.0,
                  base_rtt_us: SimTime = 100_000, bytes_budget: Optional[int] = None):
@@ -94,7 +101,45 @@ class FlowSender:
         return self.transmit(now)
 
     def effective_window(self) -> float:
-        return self.cubic.cwnd
+        w = self.cubic.cwnd
+        w_abc = self.w_abc
+        return w_abc if w_abc is not None and w_abc <= w else w
+
+    def on_ack(self, ack: Ack, now: SimTime) -> list[Packet]:
+        """React to one ACK; returns the packets sent in response.
+
+        In order: the accel/brake step (only with ``w_abc``), retire, the
+        stale check, the Cubic reaction, the cap, ``transmit`` and the cap
+        check.  Sequence holes retired below the ACK point (more bytes
+        retired than newly acknowledged) count as a loss, as does an ECN
+        echo.
+        """
+        newly = ack.bytes_newly_acked
+        delta = newly / MTU_BYTES
+        w = self.w_abc
+        if w is not None:
+            # A stale ACK acknowledges nothing new, so delta is 0 and w_abc
+            # stays as it is.
+            mark = ack.echo_mark
+            if mark is ACCEL:
+                w += delta * (1.0 + 1.0 / w) if self.additive_increase else delta
+            elif mark is BRAKE:
+                w += delta * (-1.0 + 1.0 / w) if self.additive_increase else -delta
+            self.w_abc = w if w > WINDOW_FLOOR else WINDOW_FLOOR
+        retired_pkts, retired_bytes = self._retire(ack.acked_seq, now)
+        if retired_pkts == 0 and newly == 0:
+            return []  # duplicate or stale
+        self.last_progress = now
+        cubic = self.cubic
+        cubic.rtt_guard_us = self.rtt_estimate()
+        if ack.ece or retired_bytes > newly:
+            cubic.on_congestion(now)
+        else:
+            cubic.on_ack(delta, now)
+        self._apply_cap()
+        out = self.transmit(now)
+        self._check_cap()
+        return out
 
     def on_timeout(self, now: SimTime) -> list[Packet]:
         """Declare everything in flight lost, reset Cubic and restart the ACK clock."""
@@ -111,28 +156,6 @@ class FlowSender:
                 and not self.unacked)
 
     # -- internals -----------------------------------------------------------
-
-    def _on_ack(self, ack: Ack, now: SimTime) -> list[Packet]:
-        """Retire, react in Cubic, cap and transmit; returns the packets sent.
-
-        Sequence holes retired below the ACK point (more bytes retired
-        than newly acknowledged) count as a loss, as does an ECN echo.
-        """
-        newly = ack.bytes_newly_acked
-        retired_pkts, retired_bytes = self._retire(ack.acked_seq, now)
-        if retired_pkts == 0 and newly == 0:
-            return []  # duplicate or stale
-        self.last_progress = now
-        cubic = self.cubic
-        cubic.rtt_guard_us = self.rtt_estimate()
-        if ack.ece or retired_bytes > newly:
-            cubic.on_congestion(now)
-        else:
-            cubic.on_ack(newly / MTU_BYTES, now)
-        self._apply_cap()
-        out = self.transmit(now)
-        self._check_cap()
-        return out
 
     def _initial_mark(self) -> EcnCodepoint:
         return EcnCodepoint.NOT_ECT
@@ -196,19 +219,29 @@ class FlowSender:
 
     def rtt_estimate(self) -> SimTime:
         """Smoothed round trip including queueing, floored at the base path."""
-        return max(self.base_rtt_us, self.srtt_us or 0)
+        srtt = self.srtt_us or 0
+        return srtt if srtt > self.base_rtt_us else self.base_rtt_us
 
     def _apply_cap(self) -> None:
+        """Clamp both windows into ``[WINDOW_FLOOR, 2 * max(inflight, 1)]``."""
         # Feedback is at most one RTT old, so a window beyond twice the
-        # packets in flight could only have come from stale state.
-        limit = 2.0 * max(self.inflight, 1)
-        self._clamp_windows(limit)
-
-    def _clamp_windows(self, limit: float) -> None:
-        self.cubic.cwnd = max(WINDOW_FLOOR, min(self.cubic.cwnd, limit))
+        # packets in flight could only have come from stale state.  This
+        # runs on every ACK, where builtin max()/min() calls cost more than
+        # the comparisons, which pick exactly what they would.
+        limit = 2.0 * self.inflight if self.inflight > 1 else 2.0
+        cubic = self.cubic
+        w = cubic.cwnd
+        if w > limit:
+            w = limit
+        cubic.cwnd = w if w > WINDOW_FLOOR else WINDOW_FLOOR
+        w = self.w_abc
+        if w is not None:
+            if w > limit:
+                w = limit
+            self.w_abc = w if w > WINDOW_FLOOR else WINDOW_FLOOR
 
     def _check_cap(self) -> None:
-        limit = 2.0 * max(self.inflight, 1)
+        limit = 2.0 * self.inflight if self.inflight > 1 else 2.0
         if self.effective_window() > limit + 1e-9:
             self.cap_violations += 1
 
@@ -223,38 +256,19 @@ class AbcSender(FlowSender):
         self.w_abc = float(initial_window)
         self.additive_increase = additive_increase
 
-    def effective_window(self) -> float:
-        return min(self.w_abc, self.cubic.cwnd)
-
     def _initial_mark(self) -> EcnCodepoint:
         # Packets leave the sender accelerated; routers may demote them.
         return EcnCodepoint.ACCEL
 
-    def on_ack(self, ack: Ack, now: SimTime) -> list[Packet]:
-        # A stale ACK acknowledges nothing new and so leaves w_abc as it
-        # is; the shared reaction never reads w_abc before its cap.
-        delta = ack.bytes_newly_acked / MTU_BYTES
-        w = self.w_abc
-        mark = ack.echo_mark
-        if mark is ACCEL:
-            w += delta * (1.0 + 1.0 / w) if self.additive_increase else delta
-        elif mark is BRAKE:
-            w += delta * (-1.0 + 1.0 / w) if self.additive_increase else -delta
-        self.w_abc = w if w > WINDOW_FLOOR else WINDOW_FLOOR
-        return self._on_ack(ack, now)
-
     # Defined on the class itself: perfbench/tracer.py wraps each sender
     # flavor's on_ack and on_timeout through the class __dict__.
+    on_ack = FlowSender.on_ack
     on_timeout = FlowSender.on_timeout
-
-    def _clamp_windows(self, limit: float) -> None:
-        self.w_abc = max(WINDOW_FLOOR, min(self.w_abc, limit))
-        FlowSender._clamp_windows(self, limit)
 
 
 class CubicSender(FlowSender):
     """Loss/ECN-driven legacy sender (long flows and short transfers)."""
 
     # Bound on the class itself for the tracer, as in AbcSender.
-    on_ack = FlowSender._on_ack
+    on_ack = FlowSender.on_ack
     on_timeout = FlowSender.on_timeout

@@ -195,6 +195,18 @@ def test_malformed_scenarios_name_the_key(mutate, fragment):
      "scenario.hops[0].id: must be usable as a file name, got '.'"),
     (lambda d: d["hops"][0].update(id="a/b"),
      "scenario.hops[0].id: must be usable as a file name, got 'a/b'"),
+    # Ids are pasted into summary.txt's key=value lines.
+    (lambda d: d["hops"][0].update(id="cell\nhop.x.drops=99"),
+     "scenario.hops[0].id: must hold no '=' and no non-printable character, "
+     "got 'cell\\nhop.x.drops=99'"),
+    (lambda d: d["hops"][0].update(id="a=b"),
+     "scenario.hops[0].id: must hold no '=' and no non-printable character, got 'a=b'"),
+    (lambda d: d["flows"][0].update(id="tab\there"),
+     "scenario.flows[0].id: must hold no '=' and no non-printable character, "
+     "got 'tab\\there'"),
+    (lambda d: d["flows"][0].update(id="nul\x00"),
+     "scenario.flows[0].id: must hold no '=' and no non-printable character, "
+     "got 'nul\\x00'"),
 ])
 def test_spec_rules_name_the_yaml_key(mutate, message):
     data = _scenario()

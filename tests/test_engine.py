@@ -154,6 +154,10 @@ def test_topology_validation_errors():
         Topology([hop], [FlowSpec("x/y")]).validate()
     with pytest.raises(ValueError, match=re.escape("hops[0].hop_id: must be usable as a file")):
         Topology([HopSpec("..", FixedLink(1e6))], [FlowSpec("f")]).validate()
+    with pytest.raises(ValueError, match=re.escape("hops[0].hop_id: must hold no '='")):
+        Topology([HopSpec("cell\nhop.x.drops=99", FixedLink(1e6))], [FlowSpec("f")]).validate()
+    with pytest.raises(ValueError, match=re.escape("flows[0].flow_id: must hold no '='")):
+        Topology([hop], [FlowSpec("line\nbreak")]).validate()
 
 
 @pytest.mark.parametrize("hop, flow, shorts, message", [

@@ -86,13 +86,14 @@ def test_accel_fraction_caps_and_idles():
 
 def test_rate_window_measures_and_evicts():
     win = RateWindow(window_us=10_000)
-    win.add(1_000, 1500)
-    win.add(5_000, 1500)
+    assert win.add(1_000, 1500) == pytest.approx(1.2e6)
     # 3000 bytes over 10 ms = 2.4 Mbit/s.
-    assert win.rate(5_000) == pytest.approx(2.4e6)
-    # First event ages out at 11_000 (strictly older than the window).
-    assert win.rate(11_001) == pytest.approx(1.2e6)
-    assert win.rate(15_001) == 0.0
+    assert win.add(5_000, 1500) == pytest.approx(2.4e6)
+    # A zero-byte add reads the rate.  The first event ages out at 11_000,
+    # once it is a full window old.
+    assert win.add(10_999, 0) == pytest.approx(2.4e6)
+    assert win.add(11_000, 0) == pytest.approx(1.2e6)
+    assert win.add(15_001, 0) == 0.0
 
 
 def test_rate_window_rejects_bad_width():
@@ -277,11 +278,14 @@ def _drive_epoch(router, counts, t0, interval=100_000):
 
 
 class TestAbcRouter:
-    def test_classify_by_codepoint(self):
-        assert AbcRouter.classify(_pkt(ecn=EcnCodepoint.ACCEL)) == ABC_QUEUE
-        assert AbcRouter.classify(_pkt(ecn=EcnCodepoint.BRAKE)) == ABC_QUEUE
-        assert AbcRouter.classify(_pkt(ecn=EcnCodepoint.NOT_ECT)) == LEGACY_QUEUE
-        assert AbcRouter.classify(_pkt(ecn=EcnCodepoint.ECN_SET)) == LEGACY_QUEUE
+    def test_enqueue_classifies_by_codepoint(self):
+        r = AbcRouter("r", AbcParams(), _FixedCapacity(1e6))
+        for ecn, tag in ((EcnCodepoint.ACCEL, ABC_QUEUE), (EcnCodepoint.BRAKE, ABC_QUEUE),
+                         (EcnCodepoint.NOT_ECT, LEGACY_QUEUE),
+                         (EcnCodepoint.ECN_SET, LEGACY_QUEUE)):
+            before = r.queue.backlog(tag)
+            assert r.enqueue(_pkt(ecn=ecn), 0) is None
+            assert r.queue.backlog(tag) == before + 1
 
     def test_rejects_bad_fixed_fraction(self):
         with pytest.raises(ValueError):
