@@ -104,10 +104,13 @@ def _build(cls, sec: _Section, table, **given):
     try:
         spec.validate()
     except ValueError as exc:
-        msg = str(exc)
-        for key, name, _, _ in table:
-            msg = re.sub(rf"\b{name}\b", key, msg)
-        named = msg.partition(":")[0] in {key for key, *_ in table}
+        # Each field becomes its key, but a value quoted by repr() ('x', or
+        # "x" when it holds a ') is matched whole and stays as written.
+        keys = {name: key for key, name, _, _ in table}
+        fields = "|".join(keys)
+        msg = re.sub(rf"""'(?:[^'\\]|\\.)*'|"(?:[^"\\]|\\.)*"|\b(?:{fields})\b""",
+                     lambda m: keys.get(m[0], m[0]), str(exc))
+        named = msg.partition(":")[0] in keys.values()
         raise ConfigError(f"{sec.path}{'.' if named else ': '}{msg}") from exc
     return spec
 

@@ -470,7 +470,7 @@ class Simulation:
             sender = runtime.sender
             rate = (sender.bytes_sent - runtime.prev_sample_bytes) * 8 * US_PER_S / interval
             runtime.prev_sample_bytes = sender.bytes_sent
-            w_abc = round(sender.w_abc, 4) if isinstance(sender, AbcSender) else ""
+            w_abc = round(sender.w_abc, 4) if sender.w_abc is not None else ""
             self.log.flow_samples.setdefault(spec.flow_id, []).append(
                 (self.now, w_abc, round(sender.w_cubic, 4), sender.inflight, round(rate, 1)))
         self._push(self.now + interval, self._on_sample, ())

@@ -65,15 +65,15 @@ class DropRecord:
 
 @dataclass(slots=True)
 class HopStats:
-    """One hop's byte and drop totals, and the queue stamps of its deliveries.
+    """One hop's byte totals and the queue stamps of its deliveries.
 
     ``enqueue_times[i]`` and ``dequeue_times[i]`` are when the log's
-    ``i``-th delivered packet entered and left this hop's queue.
+    ``i``-th delivered packet entered and left this hop's queue.  Its
+    drops are counted from ``MetricsLog.drops``.
     """
 
     opportunity_bytes: float = 0.0
     dequeued_bytes: int = 0
-    drops: int = 0
     enqueue_times: array = field(default_factory=partial(array, "q"), init=False, repr=False)
     dequeue_times: array = field(default_factory=partial(array, "q"), init=False, repr=False)
 
@@ -127,9 +127,6 @@ class MetricsLog:
 
     def record_drop(self, rec: DropRecord) -> None:
         self.drops.append(rec)
-        stats = self.hop_stats.get(rec.hop_id)
-        if stats is not None:
-            stats.drops += 1
 
     @property
     def deliveries(self) -> "DeliveryView":
@@ -257,11 +254,12 @@ def report(log: MetricsLog) -> dict:
     start, end = steady_window(log)
     flows = flow_throughputs(log, start, end) if end > start else {}
     delays = {hop_id: Counter(_delays(log, hop_id, 0, None)) for hop_id in log.hop_stats}
+    drops = Counter(rec.hop_id for rec in log.drops)
     return {
         "duration_us": log.duration_us, "seed": log.seed,
         "delivered_packets": len(log.seqs), "dropped_packets": len(log.drops),
         "hops": {hop_id: {
-            "dequeued_bytes": stats.dequeued_bytes, "drops": stats.drops,
+            "dequeued_bytes": stats.dequeued_bytes, "drops": drops[hop_id],
             "utilization": utilization(log, hop_id) if stats.opportunity_bytes > 0 else None,
             "delay_p50_us": nearest_rank(delays[hop_id], 0.5) if delays[hop_id] else None,
             "delay_p95_us": nearest_rank(delays[hop_id], 0.95) if delays[hop_id] else None,

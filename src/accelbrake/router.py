@@ -139,11 +139,6 @@ class MarkerState:
     def mark(self, pkt: Packet, fraction: float) -> Packet:
         if not 0 <= fraction <= 1:
             raise ValueError(f"marking fraction must be in [0, 1], got {fraction}")
-        self._spend(pkt, fraction)
-        return pkt
-
-    def _spend(self, pkt: Packet, fraction: float) -> None:
-        """``mark`` without the range check, for callers that bound ``fraction``."""
         token = self.token + fraction
         if token > self.token_limit:
             token = self.token_limit
@@ -154,6 +149,7 @@ class MarkerState:
                 pkt.ecn = BRAKE
         # BRAKE stays braked; NOT_ECT and ECN_SET pass through untouched.
         self.token = token
+        return pkt
 
 
 class DualQueue:
@@ -163,9 +159,6 @@ class DualQueue:
     per visit and is work-conserving: a lone backlogged queue is always
     served regardless of its weight.  With both queues backlogged,
     service converges to the weight split within one packet.
-
-    ``_count`` is the number of packets held in both queues together:
-    every append and pop adjusts it, so ``backlog()`` is O(1).
     """
 
     # An arrival is accepted only while its queue is shorter than this
@@ -186,22 +179,21 @@ class DualQueue:
         self._by_index = (deque(), deque())
         self._queues = dict(zip(self._tags, self._by_index))
         self._deficit = [0.0, 0.0]
-        self._count = 0
         self._ptr = 0
         self._fresh_visit = True
 
     def backlog(self, tag: Optional[str] = None) -> int:
         if tag is not None:
             return len(self._queues[tag])
-        return self._count
+        return len(self._by_index[0]) + len(self._by_index[1])
 
     def enqueue(self, tag: str, pkt: Packet, now: SimTime) -> Optional[Packet]:
         """Append to one queue; returns the arriving packet if it was dropped."""
         q = self._queues[tag]
-        if len(q) >= self.THRESHOLD_RATIO * (self.capacity_pkts - self._count):
+        abc, legacy = self._by_index
+        if len(q) >= self.THRESHOLD_RATIO * (self.capacity_pkts - len(abc) - len(legacy)):
             return pkt
         q.append((pkt, now))
-        self._count += 1
         return None
 
     def dequeue(self, now: SimTime) -> tuple[str, Packet, SimTime]:
@@ -220,7 +212,6 @@ class DualQueue:
             deficit[0] = deficit[1] = 0.0
             self._ptr = idx ^ 1
             self._fresh_visit = True
-            self._count -= 1
             pkt, enq = self._by_index[idx].popleft()
             return self._tags[idx], pkt, enq
         deficit = self._deficit
@@ -234,7 +225,6 @@ class DualQueue:
             size = q[0][0].size_bytes
             if deficit[idx] >= size:
                 deficit[idx] -= size
-                self._count -= 1
                 pkt, enq = q.popleft()
                 return self._tags[idx], pkt, enq
             self._ptr ^= 1
@@ -300,7 +290,6 @@ class AbcRouter:
         # update_weights call.
         self.weight_log: list[tuple] = [(0, initial_weight)]
         self._sketches = {t: SpaceSavingSketch(params.sketch_size) for t in (ABC_QUEUE, LEGACY_QUEUE)}
-        self._epoch_bytes = {ABC_QUEUE: 0, LEGACY_QUEUE: 0}
         self._last_weight_update: SimTime = 0
         # Recent per-flow rate samples, one per weight interval.  A flow's
         # demand is its *peak* over the last few intervals: a loss-cycling
@@ -332,7 +321,6 @@ class AbcRouter:
         tag, pkt, enqueued_at = self.queue.dequeue(now)
         size = pkt.size_bytes
         self._sketches[tag].record(pkt.flow_id, size)
-        self._epoch_bytes[tag] += size
         if tag == ABC_QUEUE:
             sojourn_us = now - enqueued_at
             current = self.rate_window.add(now, size)
@@ -343,7 +331,7 @@ class AbcRouter:
                 mu = self.capacity_view.capacity(now) * self.queue.weight_abc
                 target = target_rate(self.params, mu, sojourn_us)
                 fraction = accel_fraction(target, current)
-            self.marker._spend(pkt, fraction)
+            self.marker.mark(pkt, fraction)
             if self.log_rows:
                 self.rows.append((now, tag, round(fraction, 6), round(target, 1),
                                   round(current, 1), sojourn_us,
@@ -373,9 +361,11 @@ class AbcRouter:
         capacity = self.capacity_view.capacity(now)
         alpha = self.params.demand_smoothing
         hist = self._rate_hist
+        epoch_bytes = {}  # per queue: its sketch's counters sum to them (see topk)
         for tag in (ABC_QUEUE, LEGACY_QUEUE):
             sketch = self._sketches[tag]
             counts, errors = sketch.counts(), sketch.errors()
+            epoch_bytes[tag] = sum(counts.values())
             for flow_id, rate in sketch.top_rates(interval):
                 # A counter dominated by inherited error is a churn artifact
                 # (many short flows recycled through the same slot), not a
@@ -410,13 +400,12 @@ class AbcRouter:
             if samples[-1][0] == self._epoch - 1:
                 line_sum[tag] += samples[-1][1]
         for tag in (ABC_QUEUE, LEGACY_QUEUE):
-            total = self._epoch_bytes[tag] * 8 * US_PER_S / interval
+            total = epoch_bytes[tag] * 8 * US_PER_S / interval
             agg = self._shorts_ewma[tag]
             residue = max(0.0, total - line_sum[tag])
             self._shorts_ewma[tag] = (
                 residue if agg == 0.0 else (1 - alpha) * agg + alpha * residue)
             self._sketches[tag].clear()
-            self._epoch_bytes[tag] = 0
         shorts = dict(self._shorts_ewma)
         if capacity <= 0 or (not any(d > 0 for d in demands)
                              and not any(shorts.values())):

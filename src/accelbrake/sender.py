@@ -69,6 +69,8 @@ class FlowSender:
     ``[next_seq - len(unacked), next_seq)``: ``transmit`` appends at
     ``next_seq``, ``_retire`` removes a prefix and ``on_timeout`` empties
     it, so the lowest unacknowledged sequence number needs no search.
+    ``inflight`` is ``len(unacked)``, and the bytes the budget has left
+    are ``bytes_budget - bytes_sent``.
     """
 
     # The accel/brake window; None for a sender without one.
@@ -81,10 +83,8 @@ class FlowSender:
         self.cubic = CubicWindow(initial_window, rtt_guard_us=base_rtt_us)
         self.next_seq = 0
         self.unacked: dict[int, tuple[int, SimTime]] = {}  # seq -> (bytes, sent_at)
-        self.inflight = 0
         self.stopped = False
         self.bytes_budget = bytes_budget
-        self._budget_left = bytes_budget
         self.bytes_sent = 0
         self.cap_violations = 0
         self.last_progress: SimTime = 0
@@ -93,6 +93,10 @@ class FlowSender:
     @property
     def w_cubic(self) -> float:
         return self.cubic.cwnd
+
+    @property
+    def inflight(self) -> int:
+        return len(self.unacked)
 
     # -- interface used by the event loop -----------------------------------
 
@@ -145,14 +149,13 @@ class FlowSender:
         """Declare everything in flight lost, reset Cubic and restart the ACK clock."""
         self.cubic.on_timeout(now)
         self.unacked.clear()
-        self.inflight = 0
         self.last_progress = now
         out = self.transmit(now)
         self._apply_cap()
         return out
 
     def done(self) -> bool:
-        return (self._budget_left is not None and self._budget_left <= 0
+        return (self.bytes_budget is not None and self.bytes_sent >= self.bytes_budget
                 and not self.unacked)
 
     # -- internals -----------------------------------------------------------
@@ -169,8 +172,8 @@ class FlowSender:
         mark = self._initial_mark()
         unacked = self.unacked
         seq = self.next_seq
-        inflight = self.inflight
-        budget = self._budget_left
+        inflight = len(unacked)
+        budget = None if self.bytes_budget is None else self.bytes_budget - self.bytes_sent
         sent = 0
         while inflight < window:
             size = MTU_BYTES
@@ -186,8 +189,6 @@ class FlowSender:
             inflight += 1
             sent += size
         self.next_seq = seq
-        self.inflight = inflight
-        self._budget_left = budget
         self.bytes_sent += sent
         return out
 
@@ -211,7 +212,6 @@ class FlowSender:
             size, sent_at = unacked.pop(seq)
             retired_bytes += size
         retired_pkts = end - start
-        self.inflight -= retired_pkts
         sample = now - sent_at
         self.srtt_us = sample if self.srtt_us is None \
             else (7 * self.srtt_us + sample) // 8
@@ -228,7 +228,8 @@ class FlowSender:
         # packets in flight could only have come from stale state.  This
         # runs on every ACK, where builtin max()/min() calls cost more than
         # the comparisons, which pick exactly what they would.
-        limit = 2.0 * self.inflight if self.inflight > 1 else 2.0
+        inflight = len(self.unacked)
+        limit = 2.0 * inflight if inflight > 1 else 2.0
         cubic = self.cubic
         w = cubic.cwnd
         if w > limit:
@@ -241,7 +242,8 @@ class FlowSender:
             self.w_abc = w if w > WINDOW_FLOOR else WINDOW_FLOOR
 
     def _check_cap(self) -> None:
-        limit = 2.0 * self.inflight if self.inflight > 1 else 2.0
+        inflight = len(self.unacked)
+        limit = 2.0 * inflight if inflight > 1 else 2.0
         if self.effective_window() > limit + 1e-9:
             self.cap_violations += 1
 

@@ -6,6 +6,10 @@ carry most of the bytes.  The Space Saving algorithm keeps exactly K
 counters; an untracked flow steals the smallest counter and inherits its
 count, so a tracked flow's true byte total is always within
 ``count - error`` and ``count``.
+
+Since a newcomer inherits the count it evicts, ``record(n)`` raises the
+counters' sum by exactly ``n``: they sum to the bytes recorded since the
+last ``clear()`` (an exact int for int sizes), the router's queue bytes.
 """
 
 from __future__ import annotations

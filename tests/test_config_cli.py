@@ -195,6 +195,13 @@ def test_malformed_scenarios_name_the_key(mutate, fragment):
      "scenario.hops[0].id: must be usable as a file name, got '.'"),
     (lambda d: d["hops"][0].update(id="a/b"),
      "scenario.hops[0].id: must be usable as a file name, got 'a/b'"),
+    # A quoted value keeps the user's spelling, even where it names a field.
+    (lambda d: d["flows"][0].update(id="x/flow_id"),
+     "scenario.flows[0].id: must be usable as a file name, got 'x/flow_id'"),
+    (lambda d: d["flows"][0].update(scheme="stop_us"),
+     "scenario.flows[0].scheme: unknown scheme 'stop_us', expected abc or cubic"),
+    (lambda d: d["flows"][0].update(id="it's/start_us"),
+     "scenario.flows[0].id: must be usable as a file name, got \"it's/start_us\""),
     # Ids are pasted into summary.txt's key=value lines.
     (lambda d: d["hops"][0].update(id="cell\nhop.x.drops=99"),
      "scenario.hops[0].id: must hold no '=' and no non-printable character, "
@@ -376,6 +383,34 @@ GOLDEN_REPORT_2S = {
                      "affe12262b7a8d6be89a34d9d226e418f9d01b001e921186c786d3961461edb1"),
 }
 
+# sha256 of each flows/<id>.csv from the same runs: the sampled windows,
+# inflight and send rate of every long flow.
+GOLDEN_FLOWS_2S = {
+    "bottleneck_switch": {
+        "abc0.csv": "8d128aa0d9b15822074a8a4f05975e2ea2753119c04f5ef83831a04d8099ab08",
+    },
+    "coexist_shorts": {
+        "abc0.csv": "46fe06279fefb667048d40db4ff71c4738cce5b54d4262d456803036bc962f4f",
+        "abc1.csv": "7aaffba42384501917bbec15301aeccab0e8cc4e4909550c6195a7bc90e26968",
+        "abc2.csv": "67eb6f3cd256e688fb72470a436f4b4b9c35df96f6b1f2f38c4d8132a6237c21",
+        "cubic0.csv": "a3147bc082d684749b5d930fe4a7edb94efd113dbb030d0e1d6707e3dbbebb0a",
+        "cubic1.csv": "354ddd80a002abba52d3d1aadf9d05ed3b3cf8cfc87aa86ad623ff3b4c511556",
+        "cubic2.csv": "9d7213fa3529d23b3979c79a837439cc4c3c78b17c0eef4e058030d210faebff",
+    },
+    "fairness_four": {
+        "abc0.csv": "86084da761bc0839e29a665ab6cdf91049d1e3e5e34ff99ed8d05bb84a6c0fa5",
+        "abc1.csv": "b226d4034057f759e365d56765405d659564daf685fdc7c3974c63cb88c07ca0",
+        "abc2.csv": "b226d4034057f759e365d56765405d659564daf685fdc7c3974c63cb88c07ca0",
+        "abc3.csv": "b226d4034057f759e365d56765405d659564daf685fdc7c3974c63cb88c07ca0",
+    },
+    "serial_bottlenecks": {
+        "abc0.csv": "3929397a053be633f65f33bf55c07c4487d9a2f22160c3826c8628d89696e807",
+    },
+    "single_trace": {
+        "abc0.csv": "afc59e125e87840263de129d0e4e3519db685f08c68f36f6ba8380029bab8692",
+    },
+}
+
 
 @pytest.mark.parametrize("name", sorted(GOLDEN_REPORT_2S))
 def test_cli_run_report_is_byte_identical(name, tmp_path, capsys):
@@ -385,6 +420,8 @@ def test_cli_run_report_is_byte_identical(name, tmp_path, capsys):
     summary = (tmp_path / "summary.txt").read_bytes()
     assert (hashlib.sha256(stdout).hexdigest(),
             hashlib.sha256(summary).hexdigest()) == GOLDEN_REPORT_2S[name]
+    assert {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
+            for p in (tmp_path / "flows").glob("*.csv")} == GOLDEN_FLOWS_2S[name]
 
 
 def test_cli_run_scans_the_log_once_per_statistic(quick_scenario, tmp_path, monkeypatch, capsys):

@@ -71,7 +71,7 @@ def test_overflow_drops_are_logged_per_hop():
     log = sim.run()
     assert log.drops, "a 64-packet burst into a 5-packet buffer must drop"
     assert {d.hop_id for d in log.drops} == {"tiny"}
-    assert log.hop_stats["tiny"].drops == len(log.drops)
+    assert report(log)["hops"]["tiny"]["drops"] == len(log.drops)
     c = sim.census()
     assert c["dropped"] == len(log.drops)
 

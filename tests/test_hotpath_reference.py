@@ -2,9 +2,10 @@
 
 ``_ReferenceDualQueue`` and ``_ReferenceSender`` keep the earlier, simpler
 code: a queue that recounts its backlog and builds its busy list on every
-call, and a sender that scans every unacked sequence number per ACK and
-re-reads its window per packet.  Random operation sequences must give the
-same decisions and the same state from both.
+call, and a sender that scans every unacked sequence number per ACK,
+re-reads its window per packet and keeps its own ``inflight`` and budget
+counters (the library derives both).  Random operation sequences must
+give the same decisions and the same state from both.
 """
 
 from collections import deque
@@ -119,6 +120,16 @@ class _Sender(FlowSender):
 
 
 class _ReferenceSender(_Sender):
+    inflight = 0  # a counter, overriding the library's len(unacked) property
+
+    def __init__(self, flow_id, bytes_budget=None):
+        super().__init__(flow_id, bytes_budget=bytes_budget)
+        self._budget_left = bytes_budget
+
+    def on_timeout(self, now):
+        self.inflight = 0
+        return super().on_timeout(now)
+
     def transmit(self, now):
         out = []
         while not self.stopped and self.inflight < self.effective_window():
@@ -185,5 +196,7 @@ def test_sender_retire_and_transmit_match_reference(budget, ops):
             new.stopped = ref.stopped = True
         assert new.unacked == ref.unacked
         assert list(new.unacked) == list(range(new.next_seq - len(new.unacked), new.next_seq))
-        for attr in ("next_seq", "inflight", "srtt_us", "bytes_sent", "_budget_left"):
+        for attr in ("next_seq", "inflight", "srtt_us", "bytes_sent"):
             assert getattr(new, attr) == getattr(ref, attr), attr
+        if budget is not None:
+            assert new.bytes_budget - new.bytes_sent == ref._budget_left

@@ -151,13 +151,15 @@ def test_steady_window_is_final_two_thirds():
     assert steady_window(MetricsLog(duration_us=60_000_000)) == (20_000_000, 60_000_000)
 
 
-def test_drop_recording_updates_hop_stats():
-    log = MetricsLog()
-    log.hop_stats["h"] = HopStats()
+def test_report_counts_drops_per_hop():
+    log = MetricsLog(duration_us=3_000_000)
+    log.hop_stats.update(h=HopStats(), idle=HopStats())
     log.record_drop(DropRecord("f", 3, "h", 100))
-    log.record_drop(DropRecord("f", 4, "other", 200))  # unknown hop: kept in list only
-    assert log.hop_stats["h"].drops == 1
-    assert len(log.drops) == 2
+    log.record_drop(DropRecord("f", 5, "h", 150))
+    log.record_drop(DropRecord("f", 4, "other", 200))  # unknown hop: kept in the list only
+    rep = report(log)
+    assert {hop_id: hop["drops"] for hop_id, hop in rep["hops"].items()} == {"h": 2, "idle": 0}
+    assert rep["dropped_packets"] == len(log.drops) == 3
 
 
 def test_write_outputs_layout(tmp_path):

@@ -7,9 +7,12 @@ and marks through the range-checked ``MarkerState.mark``.  Those parts are
 kept here as they were (``_ReferenceDualQueue``, ``_ReferenceRateWindow``,
 ``_reference_target_rate``, ``_reference_accel_fraction``,
 ``_ReferenceMarker``).  ``update_weights`` is the library's on both sides;
-it feeds both queues' weights from their own sketches.  Random
+it feeds both queues' weights from their own sketches.  The reference
+also keeps the earlier per-queue byte counter ``_epoch_bytes``, which the
+library now reads as the sum of the queue's sketch counters.  Random
 enqueue/dequeue/weight sequences must give the same packets, marks,
-tokens, enqueue stamps and rate-window entries after every step.
+tokens, enqueue stamps, rate-window entries and per-queue bytes after
+every step.
 """
 
 from collections import deque
@@ -141,6 +144,7 @@ class _ReferenceRouter(AbcRouter):
         self.queue = queue
         self.marker = _ReferenceMarker(self.params.token_limit)
         self.rate_window = _ReferenceRateWindow(self.params.rate_window_us)
+        self._epoch_bytes = {ABC_QUEUE: 0, LEGACY_QUEUE: 0}
 
     def enqueue(self, pkt, now):
         tag = ABC_QUEUE if pkt.ecn.is_abc else LEGACY_QUEUE
@@ -168,6 +172,10 @@ class _ReferenceRouter(AbcRouter):
         elif self.log_rows:
             self.rows.append((now, tag, "", "", "", now - enqueued_at, "", pkt.ecn.name))
         return pkt, enqueued_at
+
+    def _reallocate(self, now, interval):
+        super()._reallocate(now, interval)
+        self._epoch_bytes = {ABC_QUEUE: 0, LEGACY_QUEUE: 0}
 
 
 class _FixedCapacity:
@@ -248,6 +256,8 @@ def test_router_matches_reference(buffer_pkts, log_rows, fixed_fraction, view, r
         assert new.rate_window._bytes == ref.rate_window._bytes
         assert new.weight_abc == ref.queue.weight_abc
         for tag in (ABC_QUEUE, LEGACY_QUEUE):
+            # What the next update_weights reads as this queue's bytes.
+            assert sum(new._sketches[tag].counts().values()) == ref._epoch_bytes[tag]
             assert new.queue.backlog(tag) == ref.queue.backlog(tag)
             assert [(p.flow_id, p.seq, p.ecn, enq) for p, enq in new.queue._queues[tag]] == \
                 [(p.flow_id, p.seq, p.ecn, enq) for p, enq in ref.queue._queues[tag]]

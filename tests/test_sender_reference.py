@@ -4,8 +4,10 @@
 code, in which each flavor wrote its own ACK sequence (retire, stale
 check, mark update, Cubic reaction, cap, transmit, cap check), its own
 timeout and its own window clamp.  ``transmit`` and ``_retire`` are
-inherited: ``tests/test_hotpath_reference.py`` checks those.  Random ACK
-streams must leave both sides in the same state after every step.
+inherited (``tests/test_hotpath_reference.py`` checks those), wrapped by
+``_CountingSender`` to keep the earlier ``inflight`` and budget counters
+that the library now derives.  Random ACK streams must leave both sides
+in the same state after every step.
 """
 
 import pytest
@@ -17,6 +19,26 @@ from accelbrake.legacy import CubicWindow
 from accelbrake.sender import WINDOW_FLOOR, AbcSender, CubicSender, FlowSender
 
 
+class _CountingSender(FlowSender):
+    inflight = 0  # a counter, overriding the library's len(unacked) property
+
+    def __init__(self, flow_id, initial_window, base_rtt_us, bytes_budget):
+        super().__init__(flow_id, initial_window, base_rtt_us, bytes_budget)
+        self._budget_left = bytes_budget
+
+    def transmit(self, now):
+        out = super().transmit(now)
+        self.inflight += len(out)
+        if self._budget_left is not None:
+            self._budget_left -= sum(pkt.size_bytes for pkt in out)
+        return out
+
+    def _retire(self, acked_seq, now):
+        retired_pkts, retired_bytes = super()._retire(acked_seq, now)
+        self.inflight -= retired_pkts
+        return retired_pkts, retired_bytes
+
+
 def _base_timeout(sender, now):
     sender.unacked.clear()
     sender.inflight = 0
@@ -24,7 +46,7 @@ def _base_timeout(sender, now):
     return sender.transmit(now)
 
 
-class _ReferenceAbcSender(FlowSender):
+class _ReferenceAbcSender(_CountingSender):
     def __init__(self, flow_id, initial_window=10.0, base_rtt_us=100_000,
                  additive_increase=True, bytes_budget=None):
         super().__init__(flow_id, initial_window, base_rtt_us, bytes_budget)
@@ -75,7 +97,7 @@ class _ReferenceAbcSender(FlowSender):
         self.cubic.cwnd = max(WINDOW_FLOOR, min(self.cubic.cwnd, limit))
 
 
-class _ReferenceCubicSender(FlowSender):
+class _ReferenceCubicSender(_CountingSender):
     def __init__(self, flow_id, initial_window=10.0, base_rtt_us=100_000,
                  bytes_budget=None):
         super().__init__(flow_id, initial_window, base_rtt_us, bytes_budget)
@@ -169,5 +191,7 @@ def test_sender_matches_reference(abc, additive_increase, initial_window, base_r
         assert new.w_cubic == ref.cubic.cwnd
         assert vars(new.cubic) == vars(ref.cubic)
         for attr in ("inflight", "next_seq", "cap_violations", "srtt_us",
-                     "last_progress", "bytes_sent", "_budget_left"):
+                     "last_progress", "bytes_sent"):
             assert getattr(new, attr) == getattr(ref, attr), attr
+        if budget is not None:
+            assert new.bytes_budget - new.bytes_sent == ref._budget_left

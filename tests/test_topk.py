@@ -96,3 +96,25 @@ def test_summary_bounds_hold_on_any_stream(stream, k):
     for fid, true_count in truth.items():
         if true_count > total / k:
             assert fid in counts
+
+
+@given(
+    ops=st.lists(st.one_of(
+        st.tuples(st.sampled_from("abcdefghij"), st.integers(0, 1500)),
+        st.just("clear"),
+    ), max_size=200),
+    k=st.integers(1, 4),
+)
+def test_counts_sum_to_the_bytes_recorded_since_clear(ops, k):
+    """The router reads a queue's bytes per weight interval from this sum."""
+    sk = SpaceSavingSketch(k)
+    recorded = 0
+    for op in ops:
+        if op == "clear":
+            sk.clear()
+            recorded = 0
+        else:
+            sk.record(*op)
+            recorded += op[1]
+        total = sum(sk.counts().values())
+        assert type(total) is int and total == recorded
