@@ -7,6 +7,12 @@ firing at the same microsecond are processed in scheduling order, and
 all randomness (short-flow arrivals) comes from one seeded generator, so
 two runs with the same seed produce identical logs.
 
+The packets a sender emits at one instant (a send burst) reach hop 0
+as one event, whose handler runs their arrivals in order.  Pushed one
+by one they would hold consecutive places in the event order, and
+every event an arrival pushes comes later in it, so nothing could run
+between them either way: the handlers run in the same order.
+
 A packet leaving a last hop that has no delay is delivered at the same
 microsecond.  When no other event is due then, that delivery would be
 the next event popped anyway, so the dequeue handler runs it directly,
@@ -220,6 +226,7 @@ class Simulation:
         self._rng = random.Random(seed)
         # The per-packet handlers, bound once: a push then allocates no
         # bound method.  A subclass's override is what gets bound.
+        self._on_send = self._on_send
         self._on_arrive = self._on_arrive
         self._on_dequeue = self._on_dequeue
         self._on_deliver = self._on_deliver
@@ -323,6 +330,12 @@ class Simulation:
 
     # -- packet path ----------------------------------------------------------
 
+    def _on_send(self, pkts: list[Packet]) -> None:
+        """A send burst reaches hop 0: each packet arrives, in order."""
+        on_arrive = self._on_arrive
+        for pkt in pkts:
+            on_arrive(0, pkt)
+
     def _on_arrive(self, hop_idx: int, pkt: Packet) -> None:
         router = self.routers[hop_idx]
         victim = router.enqueue(pkt, self.now)
@@ -408,10 +421,10 @@ class Simulation:
         self._dispatch_sends(runtime, runtime.sender.on_ack(ack, self.now))
 
     def _dispatch_sends(self, runtime: _FlowRuntime, pkts: list[Packet]) -> None:
-        runtime.live += len(pkts)
-        at = self.now + runtime.fwd_delay_us
-        for pkt in pkts:
-            heappush(self._heap, (at, next(self._counter), self._on_arrive, (0, pkt)))
+        if pkts:
+            runtime.live += len(pkts)
+            heappush(self._heap, (self.now + runtime.fwd_delay_us, next(self._counter),
+                                  self._on_send, (pkts,)))
         if runtime.sender.unacked and not runtime.rto_armed:
             runtime.rto_armed = True
             self._push(self.now + runtime.rto_us, self._on_rto, (runtime,))
@@ -481,11 +494,17 @@ class Simulation:
         """Packet conservation snapshot: sent = delivered + dropped + queued + in flight.
 
         ``sent`` includes the packets of short flows already retired from
-        ``flows``; ``in_flight`` is counted from the event heap.
+        ``flows``; ``in_flight`` is counted from the event heap, where a
+        send burst holds several packets.
         """
         queued = sum(r.backlog() for r in self.routers)
         moving = (self._on_arrive, self._on_deliver)
-        in_flight = sum(1 for _, _, handler, _ in self._heap if handler in moving)
+        in_flight = 0
+        for _, _, handler, args in self._heap:
+            if handler == self._on_send:
+                in_flight += len(args[0])
+            elif handler in moving:
+                in_flight += 1
         return {
             "sent": self._retired_sent + sum(rt.sender.next_seq for rt in self.flows.values()),
             "delivered": len(self.log.seqs),

@@ -33,6 +33,7 @@ class CubicWindow:
         self.cwnd = float(initial_window)
         self.ssthresh = math.inf
         self.w_max = 0.0
+        self.k = 0.0  # K of the curve; _set_w_max keeps it with w_max
         self.epoch_start: Optional[SimTime] = None
         self.rtt_guard_us = rtt_guard_us
         self._last_congestion: SimTime = -(10**12)
@@ -45,21 +46,27 @@ class CubicWindow:
             self.cwnd += delta_pkts
             return
         t = (now - self.epoch_start) / US_PER_S
-        k = ((self.w_max * (1 - self.BETA)) / self.C) ** (1 / 3)
-        w_cubic = self.C * (t - k) ** 3 + self.w_max
+        w_cubic = self.C * (t - self.k) ** 3 + self.w_max
         # At small windows the cubic curve is too flat to reclaim a fair
         # share, so growth is floored at the additive Reno-style rate
         # (the standard "TCP-friendly region").
         rtts = (now - self.epoch_start) / self.rtt_guard_us
         w_est = self.w_max * self.BETA + 3 * (1 - self.BETA) / (1 + self.BETA) * rtts
-        self.cwnd = max(1.0, w_cubic, w_est)
+        # max(1.0, w_cubic, w_est), as comparisons.
+        cwnd = w_cubic if w_cubic > 1.0 else 1.0
+        self.cwnd = w_est if w_est > cwnd else cwnd
+
+    def _set_w_max(self, w_max: float) -> None:
+        """Record a new peak and the K of the curve that climbs back to it."""
+        self.w_max = w_max
+        self.k = ((w_max * (1 - self.BETA)) / self.C) ** (1 / 3)
 
     def on_congestion(self, now: SimTime) -> bool:
         """Multiplicative decrease; returns False if inside the reaction guard."""
         if now - self._last_congestion < self.rtt_guard_us:
             return False
         self._last_congestion = now
-        self.w_max = self.cwnd
+        self._set_w_max(self.cwnd)
         self.cwnd = max(1.0, self.BETA * self.cwnd)
         self.ssthresh = self.cwnd
         self.epoch_start = now
@@ -68,7 +75,7 @@ class CubicWindow:
     def on_timeout(self, now: SimTime) -> None:
         """Retransmission-timeout style reset: window to 1, back to slow start."""
         self._last_congestion = now
-        self.w_max = self.cwnd
+        self._set_w_max(self.cwnd)
         self.ssthresh = max(1.0, self.BETA * self.cwnd)
         self.cwnd = 1.0
         self.epoch_start = None

@@ -314,7 +314,10 @@ class AbcRouter:
         return self.queue.enqueue(tag, pkt, now)
 
     def backlog(self) -> int:
-        return self.queue.backlog()
+        # DualQueue.backlog()'s count in one frame: the engine asks on
+        # every dequeue event.
+        abc, legacy = self.queue._by_index
+        return len(abc) + len(legacy)
 
     def on_dequeue(self, now: SimTime) -> tuple[Packet, SimTime]:
         """Serve one packet: mark it if it is ABC traffic, account its bytes."""

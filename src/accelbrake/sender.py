@@ -75,6 +75,8 @@ class FlowSender:
 
     # The accel/brake window; None for a sender without one.
     w_abc: Optional[float] = None
+    # The mark every packet leaves with.
+    initial_mark: EcnCodepoint = EcnCodepoint.NOT_ECT
 
     def __init__(self, flow_id: str, initial_window: float = 10.0,
                  base_rtt_us: SimTime = 100_000, bytes_budget: Optional[int] = None):
@@ -160,16 +162,13 @@ class FlowSender:
 
     # -- internals -----------------------------------------------------------
 
-    def _initial_mark(self) -> EcnCodepoint:
-        return EcnCodepoint.NOT_ECT
-
     def transmit(self, now: SimTime) -> list[Packet]:
         out: list[Packet] = []
         if self.stopped:
             return out
         # Neither the window nor the mark changes while packets go out.
         window = self.effective_window()
-        mark = self._initial_mark()
+        mark = self.initial_mark
         unacked = self.unacked
         seq = self.next_seq
         inflight = len(unacked)
@@ -251,16 +250,15 @@ class FlowSender:
 class AbcSender(FlowSender):
     """Dual-window sender: ``w_abc`` follows the echoed marks."""
 
+    # Packets leave the sender accelerated; routers may demote them.
+    initial_mark = EcnCodepoint.ACCEL
+
     def __init__(self, flow_id: str, initial_window: float = 10.0,
                  base_rtt_us: SimTime = 100_000, additive_increase: bool = True,
                  bytes_budget: Optional[int] = None):
         super().__init__(flow_id, initial_window, base_rtt_us, bytes_budget)
         self.w_abc = float(initial_window)
         self.additive_increase = additive_increase
-
-    def _initial_mark(self) -> EcnCodepoint:
-        # Packets leave the sender accelerated; routers may demote them.
-        return EcnCodepoint.ACCEL
 
     # Defined on the class itself: perfbench/tracer.py wraps each sender
     # flavor's on_ack and on_timeout through the class __dict__.

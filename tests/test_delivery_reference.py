@@ -1,11 +1,17 @@
-"""Inline delivery at a zero-delay last hop against the always-push engine.
+"""The engine's event shortcuts against engines that push every event.
 
 ``Simulation._on_dequeue`` runs a delivery at once when the last hop has
 no delay and no other event is due at the same microsecond, instead of
 pushing it and popping it straight back.  ``_AlwaysPush`` keeps the
-earlier handler, which pushes every delivery.  Random topologies rich in
-same-microsecond ties must run the same handlers in the same order and
-give the same timeline and the same census from both.
+earlier handler, which pushes every delivery.
+
+``Simulation._dispatch_sends`` pushes one event per send burst, whose
+handler runs the packets' hop-0 arrivals in order.  ``_PerPacketSends``
+keeps the earlier dispatch, which pushes one arrival per packet.
+
+Random topologies rich in same-microsecond ties must run the same
+handlers in the same order and give the same timeline and the same
+census from each engine and its reference.
 """
 
 import hashlib
@@ -77,6 +83,19 @@ class _AlwaysPush(_Recording):
             self._push(t, self._on_dequeue, (hop_idx,))
 
 
+class _PerPacketSends(_Recording):
+    def _dispatch_sends(self, runtime, pkts):
+        runtime.live += len(pkts)
+        at = self.now + runtime.fwd_delay_us
+        for pkt in pkts:
+            self._push(at, self._on_arrive, (0, pkt))
+        if runtime.sender.unacked and not runtime.rto_armed:
+            runtime.rto_armed = True
+            self._push(self.now + runtime.rto_us, self._on_rto, (runtime,))
+        if not runtime.live:
+            self._retire_if_finished(runtime)
+
+
 def _timeline_digest(log):
     h = hashlib.sha256()
     for r in log.deliveries:
@@ -133,6 +152,23 @@ def test_inline_delivery_matches_always_push(topo, seed, coalesce, duration_us):
     assert _timeline_digest(log) == _timeline_digest(old_log)
     assert report(log) == report(old_log)
     assert new.census() == old.census()
+
+
+@settings(max_examples=100, deadline=None)
+@given(topo=_tied_topologies(), seed=st.integers(0, 3),
+       coalesce=st.integers(1, 4), duration_us=st.integers(100_000, 600_000))
+def test_send_bursts_match_per_packet_arrivals(topo, seed, coalesce, duration_us):
+    new = _Recording(topo, duration_us, seed=seed, receiver_coalesce=coalesce)
+    old = _PerPacketSends(topo, duration_us, seed=seed, receiver_coalesce=coalesce)
+    log, old_log = new.run(), old.run()
+    # Every arrival, drop and delivery happens in the same order; the
+    # census counts the packets of the bursts still in the heap.
+    assert new.calls == old.calls
+    assert _timeline_digest(log) == _timeline_digest(old_log)
+    assert report(log) == report(old_log)
+    assert new.census() == old.census()
+    assert {fid: rt.live for fid, rt in new.flows.items()} == \
+        {fid: rt.live for fid, rt in old.flows.items()}
 
 
 def test_serial_bottlenecks_take_both_delivery_branches():

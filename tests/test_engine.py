@@ -325,14 +325,33 @@ def _timeline_digest(log):
     return h.hexdigest()
 
 
-@pytest.mark.parametrize("name", sorted(GOLDEN_2S))
-def test_golden_timeline(name):
+def _run_2s(name):
+    """A shipped scenario, run for 2 simulated seconds."""
     cfg = load_scenario(str(SCENARIO_DIR / f"{name}.yaml"))
-    log = Simulation(cfg.topology, 2_000_000, seed=cfg.seed,
+    sim = Simulation(cfg.topology, 2_000_000, seed=cfg.seed,
                      flow_sample_interval_us=cfg.sample_interval_us,
                      log_router_rows=cfg.log_router_rows,
-                     receiver_coalesce=cfg.receiver_coalesce).run()
+                     receiver_coalesce=cfg.receiver_coalesce)
+    return sim, sim.run()
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_2S))
+def test_golden_timeline(name):
+    _, log = _run_2s(name)
     assert _timeline_digest(log) == GOLDEN_2S[name]
+
+
+# Events pushed per delivered packet in 2 simulated seconds, read from the
+# engine's event counter; the count is deterministic.  One event per send
+# burst gives 2.596 and 2.564; one event per sent packet would give 3.116
+# and 3.172.
+EVENTS_PER_DELIVERY_2S = {"single_trace": 2.60, "coexist_shorts": 2.57}
+
+
+@pytest.mark.parametrize("name", sorted(EVENTS_PER_DELIVERY_2S))
+def test_events_per_delivery(name):
+    sim, log = _run_2s(name)
+    assert next(sim._counter) / len(log.seqs) <= EVENTS_PER_DELIVERY_2S[name]
 
 
 @st.composite
@@ -371,7 +390,9 @@ def _live_packets(sim):
         queues = router.queue._by_index if hasattr(router, "queue") else (router._queue,)
         live.update(pkt.flow_id for q in queues for pkt, _ in q)
     for _, _, handler, args in sim._heap:
-        if handler == sim._on_arrive or handler == sim._on_deliver:
+        if handler == sim._on_send:  # a send burst: a list of packets
+            live.update(pkt.flow_id for pkt in args[0])
+        elif handler == sim._on_arrive or handler == sim._on_deliver:
             live[args[-1].flow_id] += 1
     return live
 

@@ -139,7 +139,7 @@ class _ReferenceSender(_Sender):
                     break
                 size = min(size, self._budget_left)
                 self._budget_left -= size
-            pkt = Packet(self.flow_id, self.next_seq, size, self._initial_mark(), now)
+            pkt = Packet(self.flow_id, self.next_seq, size, self.initial_mark, now)
             self.unacked[self.next_seq] = (size, now)
             self.next_seq += 1
             self.inflight += 1

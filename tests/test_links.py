@@ -1,9 +1,14 @@
 """Link processes: delivery scheduling, opportunity accounting, rate views."""
 
+from bisect import bisect_left, bisect_right
+
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from accelbrake.links import (
     FixedLink,
+    LinkProcess,
     OracleRateView,
     StepLink,
     TraceLink,
@@ -132,6 +137,76 @@ class TestTraceLink:
         link = TraceLink([5, 10])
         # Two MTUs per 10 ms = 2.4 Mbit/s.
         assert link.rate_at(0) == pytest.approx(2.4e6)
+
+
+class _BisectTraceLink(LinkProcess):
+    """TraceLink's lookups by bisecting the offsets: the reference for its count table."""
+
+    def __init__(self, offsets_ms):
+        self._offsets_us = [o * 1000 for o in offsets_ms]
+        self.period_us = offsets_ms[-1] * 1000
+        self._per_period = len(offsets_ms)
+        self._mean_bps = TraceLink(offsets_ms).rate_at(0)
+
+    def _count_upto(self, t):
+        if t < 0:
+            return 0
+        cycles, rem = divmod(t, self.period_us)
+        return cycles * self._per_period + bisect_right(self._offsets_us, rem)
+
+    def next_delivery(self, now, after=False):
+        now = max(0, now)
+        target = now + 1 if after else now
+        cycle, rem = divmod(target, self.period_us)
+        i = bisect_left(self._offsets_us, rem)
+        if i == len(self._offsets_us):
+            cycle, i = cycle + 1, 0
+        return cycle * self.period_us + self._offsets_us[i]
+
+    def opportunity_bytes(self, start, end):
+        if end <= start:
+            return 0.0
+        return (self._count_upto(end) - self._count_upto(max(-1, start))) * 1500.0
+
+    def rate_at(self, now):
+        return self._mean_bps
+
+
+@st.composite
+def _trace_and_times(draw):
+    """Offsets (short and long periods, sparse and dense) and times that hit
+    their edges: negative, 0, at an opportunity or a loop point and 1 µs
+    either side of it, and many periods out."""
+    offsets = sorted(draw(st.sets(st.integers(1, 12) | st.integers(1, 9_000),
+                                  min_size=1, max_size=40)))
+    period = offsets[-1] * 1000
+    cycles = st.integers(0, 3) | st.integers(0, 10**6)
+    nudge = st.sampled_from([-1, 0, 1])
+    at_offset = st.builds(lambda k, o, d: k * period + o * 1000 + d,
+                          cycles, st.sampled_from(offsets), nudge)
+    at_loop = st.builds(lambda k, d: k * period + d, cycles, nudge)
+    times = st.one_of(st.integers(-3 * period, -1), st.just(0), at_offset, at_loop,
+                      st.integers(0, 20 * period))
+    return offsets, draw(st.lists(times, min_size=1, max_size=12))
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=_trace_and_times(), window=st.sampled_from([1, 999, 1_000, 20_000]) |
+       st.integers(1, 10**7))
+@example(case=([1], [-1, 0, 1, 999, 1_000, 1_001, 5_000_000]), window=20_000)
+def test_trace_link_matches_bisect_reference(case, window):
+    offsets, times = case
+    link, ref = TraceLink(offsets), _BisectTraceLink(offsets)
+    view = OracleRateView(link, window)
+    for t in times:
+        assert link.next_delivery(t) == ref.next_delivery(t), t
+        assert link.next_delivery(t, after=True) == ref.next_delivery(t, after=True), t
+        width = min(window, t)
+        want = (ref.opportunity_bytes(t - width, t) * 8 * 1_000_000 / width if width > 0
+                else ref.rate_at(0))
+        assert view.capacity(t) == want, t
+        for u in times:
+            assert link.opportunity_bytes(t, u) == ref.opportunity_bytes(t, u), (t, u)
 
 
 class TestTraceFile:

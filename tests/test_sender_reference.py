@@ -47,6 +47,8 @@ def _base_timeout(sender, now):
 
 
 class _ReferenceAbcSender(_CountingSender):
+    initial_mark = EcnCodepoint.ACCEL
+
     def __init__(self, flow_id, initial_window=10.0, base_rtt_us=100_000,
                  additive_increase=True, bytes_budget=None):
         super().__init__(flow_id, initial_window, base_rtt_us, bytes_budget)
@@ -56,9 +58,6 @@ class _ReferenceAbcSender(_CountingSender):
 
     def effective_window(self):
         return min(self.w_abc, self.cubic.cwnd)
-
-    def _initial_mark(self):
-        return EcnCodepoint.ACCEL
 
     def on_ack(self, ack, now):
         newly = ack.bytes_newly_acked
