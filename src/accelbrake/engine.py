@@ -20,6 +20,19 @@ after its own pushes, instead of pushing it and popping it straight
 back; otherwise it is pushed like any other event.  Either way it runs
 in scheduling order.
 
+The ACKs a receiver emits at one instant (an ACK emission: one or two,
+when a mark change flushes the old run before acknowledging the new
+one) reach the sender as one event, whose handler runs each ACK's
+reaction and dispatch in order.  The argument is the send burst's: the
+ACKs would hold consecutive places in the event order, and everything
+the first one's reaction pushes comes later in it than the second.
+
+Each packet-path handler (``_on_send``, ``_on_arrive``, ``_on_dequeue``,
+``_on_deliver``, ``_on_ack``) does its engine work in its own frame.  It
+calls out only to the router, the link, the sender, the receiver and the
+metrics log, and to the rarer paths: waking an idle hop, a drop and a
+short flow's retirement.
+
 ACK clocking is emergent: the engine never paces a sender directly, it
 only delivers ACKs; transmissions happen when a window opens.
 """
@@ -331,23 +344,36 @@ class Simulation:
     # -- packet path ----------------------------------------------------------
 
     def _on_send(self, pkts: list[Packet]) -> None:
-        """A send burst reaches hop 0: each packet arrives, in order."""
-        on_arrive = self._on_arrive
+        """A send burst reaches hop 0: each packet arrives, in order.
+
+        This is ``_on_arrive`` at hop 0 for every packet of the burst, in
+        one frame.
+        """
+        now = self.now
+        enqueue = self.routers[0].enqueue
+        busy = self._busy
         for pkt in pkts:
-            on_arrive(0, pkt)
+            victim = enqueue(pkt, now)
+            if victim is not pkt and not busy[0]:
+                self._schedule_dequeue(0)
+            if victim is not None:
+                self._drop(0, victim)
 
     def _on_arrive(self, hop_idx: int, pkt: Packet) -> None:
-        router = self.routers[hop_idx]
-        victim = router.enqueue(pkt, self.now)
+        victim = self.routers[hop_idx].enqueue(pkt, self.now)
         if victim is not pkt and not self._busy[hop_idx]:
             self._schedule_dequeue(hop_idx)
         if victim is not None:
-            hop_id = self._hops[hop_idx][0].hop_id
-            self.log.record_drop(DropRecord(victim.flow_id, victim.seq, hop_id, self.now))
-            runtime = self.flows[victim.flow_id]
-            runtime.live -= 1
-            if not runtime.live:
-                self._retire_if_finished(runtime)
+            self._drop(hop_idx, victim)
+
+    def _drop(self, hop_idx: int, victim: Packet) -> None:
+        """Log a packet the hop's queue refused or pushed out."""
+        hop_id = self._hops[hop_idx][0].hop_id
+        self.log.record_drop(DropRecord(victim.flow_id, victim.seq, hop_id, self.now))
+        runtime = self.flows[victim.flow_id]
+        runtime.live -= 1
+        if not runtime.live:
+            self._retire_if_finished(runtime)
 
     def _schedule_dequeue(self, hop_idx: int) -> None:
         """Wake an idle hop at its link's next opportunity."""
@@ -400,9 +426,8 @@ class Simulation:
         acks = echo.on_packet(pkt, now)
         if acks:
             runtime.delack_epoch += 1
-            at = now + runtime.rev_delay_us
-            for ack in acks:
-                heappush(self._heap, (at, next(self._counter), self._on_ack, (runtime, ack)))
+            heappush(self._heap, (now + runtime.rev_delay_us, next(self._counter),
+                                  self._on_ack, (runtime, acks)))
         elif echo.pending_count > 0:
             heappush(self._heap, (now + DELACK_TIMEOUT_US, next(self._counter),
                                   self._on_delack, (runtime, runtime.delack_epoch)))
@@ -415,10 +440,27 @@ class Simulation:
         ack = runtime.echo.flush(self.now)
         if ack is not None:
             runtime.delack_epoch += 1
-            self._push(self.now + runtime.rev_delay_us, self._on_ack, (runtime, ack))
+            heappush(self._heap, (self.now + runtime.rev_delay_us, next(self._counter),
+                                  self._on_ack, (runtime, (ack,))))
 
-    def _on_ack(self, runtime: _FlowRuntime, ack) -> None:
-        self._dispatch_sends(runtime, runtime.sender.on_ack(ack, self.now))
+    def _on_ack(self, runtime: _FlowRuntime, acks) -> None:
+        """An ACK emission reaches the sender: each ACK in order, each
+        followed by ``_dispatch_sends`` of what it sent, in one frame."""
+        sender = runtime.sender
+        now = self.now
+        heap = self._heap
+        counter = self._counter
+        for ack in acks:
+            pkts = sender.on_ack(ack, now)
+            if pkts:
+                runtime.live += len(pkts)
+                heappush(heap, (now + runtime.fwd_delay_us, next(counter), self._on_send, (pkts,)))
+            if sender.unacked and not runtime.rto_armed:
+                runtime.rto_armed = True
+                heappush(heap, (now + runtime.rto_us, next(counter), self._on_rto, (runtime,)))
+            # The sender may have just finished.
+            if not runtime.live:
+                self._retire_if_finished(runtime)
 
     def _dispatch_sends(self, runtime: _FlowRuntime, pkts: list[Packet]) -> None:
         if pkts:

@@ -188,11 +188,14 @@ class TraceLink(LinkProcess):
         if after:
             now += 1
         cycle, rem = divmod(now, self.period_us)
+        if not rem:
+            # A loop point after time 0 is the previous cycle's last
+            # opportunity; time 0 is none.
+            return now if cycle else self._offsets_us[0]
         # The first offset >= rem: the offsets at whole milliseconds below
         # rem µs are those <= (rem - 1) // 1000 ms.  Since rem < period,
         # the last offset (the period) always qualifies.
-        i = self._upto[(rem - 1) // US_PER_MS] if rem else 0
-        return cycle * self.period_us + self._offsets_us[i]
+        return cycle * self.period_us + self._offsets_us[self._upto[(rem - 1) // US_PER_MS]]
 
     def opportunity_bytes(self, start: SimTime, end: SimTime) -> float:
         if end <= start or end < 0:

@@ -10,6 +10,10 @@ byte counts are therefore attributed to the exact mark the router chose.
 Classic ECN congestion marks ("ECN set") ride along: they raise an
 echo-congestion flag on the next emitted ACK without disturbing the
 accel/brake run bookkeeping.
+
+``on_packet`` runs once per delivered packet and builds its ACKs in its
+own frame: the only call it makes is the ``Ack`` constructor.  ``flush``,
+the delayed-ACK path, builds its ACK the same way.
 """
 
 from __future__ import annotations
@@ -40,7 +44,8 @@ class EchoState:
         first flushes the old run (if any) under the old mark, then joins
         the pending count and is acknowledged at once under its own mark.
         Any other packet joins the pending count, and an ACK goes out once
-        ``coalesce`` packets are pending.
+        ``coalesce`` packets are pending.  Every ACK acknowledges what is
+        pending and clears it, as ``flush`` does.
         """
         ecn = pkt.ecn
         if ecn is ECN_SET:
@@ -49,23 +54,29 @@ class EchoState:
         switched = (ecn is ACCEL or ecn is BRAKE) and ecn is not self.last_mark
         if switched:
             if self.pending_count > 0:
-                acks.append(self._emit(now))
+                acks.append(Ack(self.flow_id, self.highest_seq, self.pending_bytes,
+                                self.last_mark, self.ece_pending, now))
+                self.pending_count = self.pending_bytes = 0
+                self.ece_pending = False
             self.last_mark = ecn
-        self.pending_count += 1
-        self.pending_bytes += pkt.size_bytes
+        count = self.pending_count + 1
+        pending_bytes = self.pending_bytes + pkt.size_bytes
         if pkt.seq > self.highest_seq:
             self.highest_seq = pkt.seq
-        if switched or self.pending_count >= self.coalesce:
-            acks.append(self._emit(now))
+        if switched or count >= self.coalesce:
+            acks.append(Ack(self.flow_id, self.highest_seq, pending_bytes, self.last_mark,
+                            self.ece_pending, now))
+            self.pending_count = self.pending_bytes = 0
+            self.ece_pending = False
+        else:
+            self.pending_count = count
+            self.pending_bytes = pending_bytes
         return acks
 
     def flush(self, now: SimTime) -> Optional[Ack]:
         """Emit whatever is pending (delayed-ACK timer expiry)."""
         if self.pending_count == 0:
             return None
-        return self._emit(now)
-
-    def _emit(self, now: SimTime) -> Ack:
         ack = Ack(self.flow_id, self.highest_seq, self.pending_bytes, self.last_mark,
                   self.ece_pending, now)
         self.pending_count = 0

@@ -12,6 +12,17 @@ When legacy traffic shares the hop, packets are split into two queues
 served by deficit round-robin, and the ABC queue's capacity share is
 re-derived every weight interval from a max-min allocation over the
 heaviest flows seen in each queue.
+
+``AbcRouter.enqueue`` and ``on_dequeue`` each handle a packet in one
+frame: the admission test, the lone-queue dequeue and the rate window
+are written into them, and only the round-robin between two backlogged
+queues goes through ``DualQueue.dequeue``.  The calls that stay are the
+ones that cross into another part: the Space Saving sketch's ``record``,
+the capacity view, ``target_rate`` and ``accel_fraction`` (public
+functions), and ``MarkerState.mark``, the metered marking whose
+guarantees are tested on their own.  ``DualQueue`` keeps the whole
+discipline as a class of its own, which the tests hold the router's
+inline copies to.
 """
 
 from __future__ import annotations
@@ -90,35 +101,6 @@ def accel_fraction(target_bps: float, dequeue_bps: float) -> float:
     return 1.0 if fraction > 1.0 else fraction
 
 
-class RateWindow:
-    """Sliding-window dequeue rate: bytes sent in the last ``window_us``.
-
-    ``add`` is the whole window: it appends the bytes sent at ``now``,
-    evicts every entry at or before ``now - window_us`` and returns the
-    rate over what is left.  ``add(now, 0)`` reads the rate at ``now``.
-    """
-
-    def __init__(self, window_us: SimTime):
-        if window_us <= 0:
-            raise ValueError(f"rate window must be positive, got {window_us}")
-        self.window_us = int(window_us)
-        self._events: deque[tuple[SimTime, int]] = deque()
-        self._bytes = 0
-
-    def add(self, now: SimTime, n_bytes: int) -> float:
-        """Record bytes sent at ``now``; returns the rate in bits/s afterwards."""
-        events = self._events
-        events.append((now, n_bytes))
-        total = self._bytes + n_bytes
-        cutoff = now - self.window_us
-        # The entry just appended is newer than the cutoff, so the deque
-        # never runs empty here.
-        while events[0][0] <= cutoff:
-            total -= events.popleft()[1]
-        self._bytes = total
-        return total * 8 * US_PER_S / self.window_us
-
-
 class MarkerState:
     """Token bucket that meters accelerate marks to a requested fraction.
 
@@ -159,6 +141,10 @@ class DualQueue:
     per visit and is work-conserving: a lone backlogged queue is always
     served regardless of its weight.  With both queues backlogged,
     service converges to the weight split within one packet.
+
+    ``AbcRouter`` keeps its packets in one of these but admits them and
+    serves a lone backlogged queue itself, with the same rules as
+    ``enqueue`` and ``dequeue`` here.
     """
 
     # An arrival is accepted only while its queue is shorter than this
@@ -283,7 +269,11 @@ class AbcRouter:
         self.queue = DualQueue(buffer_pkts)
         self.queue.weight_abc = initial_weight
         self.marker = MarkerState(params.token_limit)
-        self.rate_window = RateWindow(params.rate_window_us)
+        # The ABC queue's dequeue rate over the last rate_window_us: each
+        # ABC dequeue's (time, bytes) still inside the window, and their sum.
+        self._rate_window_us = int(params.rate_window_us)
+        self._rate_events: deque[tuple[SimTime, int]] = deque()
+        self._rate_bytes = 0
         self.log_rows = log_rows
         self.rows: list[tuple] = []
         # (time, ABC queue weight): the initial weight, then one entry per
@@ -307,11 +297,16 @@ class AbcRouter:
         """Queue a packet; returns the dropped packet on overflow, else None.
 
         Accelerated and braked packets join the ABC queue, everything else
-        the legacy queue.
+        the legacy queue.  The admission rule is ``DualQueue.enqueue``'s.
         """
+        queue = self.queue
+        abc, legacy = queue._by_index
         ecn = pkt.ecn
-        tag = ABC_QUEUE if ecn is ACCEL or ecn is BRAKE else LEGACY_QUEUE
-        return self.queue.enqueue(tag, pkt, now)
+        q = abc if ecn is ACCEL or ecn is BRAKE else legacy
+        if len(q) >= queue.THRESHOLD_RATIO * (queue.capacity_pkts - len(abc) - len(legacy)):
+            return pkt
+        q.append((pkt, now))
+        return None
 
     def backlog(self) -> int:
         # DualQueue.backlog()'s count in one frame: the engine asks on
@@ -320,18 +315,53 @@ class AbcRouter:
         return len(abc) + len(legacy)
 
     def on_dequeue(self, now: SimTime) -> tuple[Packet, SimTime]:
-        """Serve one packet: mark it if it is ABC traffic, account its bytes."""
-        tag, pkt, enqueued_at = self.queue.dequeue(now)
+        """Serve one packet: mark it if it is ABC traffic, account its bytes.
+
+        With both queues backlogged the packet comes from
+        ``DualQueue.dequeue``'s round-robin; a lone backlogged queue is
+        served here the way that method serves it.
+        """
+        queue = self.queue
+        abc, legacy = queue._by_index
+        if abc and legacy:
+            tag, pkt, enqueued_at = queue.dequeue(now)
+        else:
+            # Work conservation: serve the lone busy queue and restart the
+            # round cleanly so no credit is banked across idle periods.
+            deficit = queue._deficit
+            deficit[0] = deficit[1] = 0.0
+            queue._fresh_visit = True
+            if abc:
+                queue._ptr = 1
+                tag = ABC_QUEUE
+                pkt, enqueued_at = abc.popleft()
+            elif legacy:
+                queue._ptr = 0
+                tag = LEGACY_QUEUE
+                pkt, enqueued_at = legacy.popleft()
+            else:
+                raise IndexError("dequeue from an empty dual queue")
         size = pkt.size_bytes
         self._sketches[tag].record(pkt.flow_id, size)
         if tag == ABC_QUEUE:
             sojourn_us = now - enqueued_at
-            current = self.rate_window.add(now, size)
+            # The dequeue rate: add these bytes, then evict every entry at
+            # or before now - window.  The entry just added is newer than
+            # that, so the deque never runs empty here.
+            events = self._rate_events
+            events.append((now, size))
+            total = self._rate_bytes + size
+            window_us = self._rate_window_us
+            cutoff = now - window_us
+            while events[0][0] <= cutoff:
+                total -= events.popleft()[1]
+            self._rate_bytes = total
+            current = total * 8 * US_PER_S / window_us
             if self.fixed_fraction is not None:
                 fraction = self.fixed_fraction
                 target = current = 0.0
             else:
-                mu = self.capacity_view.capacity(now) * self.queue.weight_abc
+                mu = self.capacity_view.capacity(now) * queue.weight_abc
                 target = target_rate(self.params, mu, sojourn_us)
                 fraction = accel_fraction(target, current)
             self.marker.mark(pkt, fraction)

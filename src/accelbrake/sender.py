@@ -17,6 +17,17 @@ that has ``w_abc``.  ``AbcSender`` adds that window and the accelerated
 initial mark; ``CubicSender`` adds nothing.  Both still bind ``on_ack``
 and ``on_timeout`` in their own class bodies, because perfbench's tracer
 wraps each flavor's entry points through the class ``__dict__``.
+
+``on_ack`` handles an ACK in one frame: the mark step, the retirement of
+the acknowledged prefix (with the RTT sample) and the cap check after
+sending are written into it, and so is ``rtt_estimate``.  It still
+calls ``transmit``, the one sending loop, which ``start`` and
+``on_timeout`` share; ``_apply_cap``, the clamp that ``on_timeout``
+shares too; and the Cubic window's own ``on_ack``/``on_congestion``,
+which belong to the legacy module.  ``transmit`` reads the window the
+way ``effective_window`` does, in its own frame.  ``rtt_estimate`` and
+``effective_window`` stay as public readings, and the tests hold the
+inline copies to them.
 """
 
 from __future__ import annotations
@@ -67,7 +78,7 @@ class FlowSender:
     ``unacked`` maps each unacknowledged sequence number to ``(bytes,
     sent_at)``.  Its keys are always the contiguous range
     ``[next_seq - len(unacked), next_seq)``: ``transmit`` appends at
-    ``next_seq``, ``_retire`` removes a prefix and ``on_timeout`` empties
+    ``next_seq``, ``on_ack`` retires a prefix and ``on_timeout`` empties
     it, so the lowest unacknowledged sequence number needs no search.
     ``inflight`` is ``len(unacked)``, and the bytes the budget has left
     are ``bytes_budget - bytes_sent``.
@@ -132,19 +143,45 @@ class FlowSender:
             elif mark is BRAKE:
                 w += delta * (-1.0 + 1.0 / w) if self.additive_increase else -delta
             self.w_abc = w if w > WINDOW_FLOOR else WINDOW_FLOOR
-        retired_pkts, retired_bytes = self._retire(ack.acked_seq, now)
-        if retired_pkts == 0 and newly == 0:
+        # Retire everything at or below the cumulative ACK point.  Sequence
+        # holes below it are packets the receiver never saw: they are
+        # retired too (there is no retransmission).
+        unacked = self.unacked
+        end = self.next_seq
+        start = end - len(unacked)
+        if ack.acked_seq < end:
+            end = ack.acked_seq + 1
+        retired_bytes = 0
+        srtt = self.srtt_us
+        if end > start:
+            for seq in range(start, end):
+                size, sent_at = unacked.pop(seq)
+                retired_bytes += size
+            sample = now - sent_at
+            srtt = self.srtt_us = sample if srtt is None else (7 * srtt + sample) // 8
+        elif newly == 0:
             return []  # duplicate or stale
         self.last_progress = now
         cubic = self.cubic
-        cubic.rtt_guard_us = self.rtt_estimate()
+        # rtt_estimate(), from the smoothed RTT just updated.
+        base = self.base_rtt_us
+        cubic.rtt_guard_us = srtt if srtt is not None and srtt > base else base
         if ack.ece or retired_bytes > newly:
             cubic.on_congestion(now)
         else:
             cubic.on_ack(delta, now)
         self._apply_cap()
         out = self.transmit(now)
-        self._check_cap()
+        # transmit only adds to inflight, so the cap just applied still
+        # holds; a violation would mean stale state slipped through.
+        inflight = len(unacked)
+        limit = 2.0 * inflight if inflight > 1 else 2.0
+        w = cubic.cwnd
+        w_abc = self.w_abc
+        if w_abc is not None and w_abc < w:
+            w = w_abc
+        if w > limit + 1e-9:
+            self.cap_violations += 1
         return out
 
     def on_timeout(self, now: SimTime) -> list[Packet]:
@@ -167,7 +204,11 @@ class FlowSender:
         if self.stopped:
             return out
         # Neither the window nor the mark changes while packets go out.
-        window = self.effective_window()
+        # The window is effective_window()'s.
+        window = self.cubic.cwnd
+        w_abc = self.w_abc
+        if w_abc is not None and w_abc < window:
+            window = w_abc
         mark = self.initial_mark
         unacked = self.unacked
         seq = self.next_seq
@@ -190,31 +231,6 @@ class FlowSender:
         self.next_seq = seq
         self.bytes_sent += sent
         return out
-
-    def _retire(self, acked_seq: int, now: SimTime) -> tuple[int, int]:
-        """Drop everything at or below the cumulative ACK point.
-
-        Returns (packets retired, bytes retired).  Sequence holes below
-        the ACK point are packets the receiver never saw -- they are
-        retired too (there is no retransmission) and the caller treats
-        them as losses.
-        """
-        unacked = self.unacked
-        end = self.next_seq
-        start = end - len(unacked)
-        if acked_seq < end:
-            end = acked_seq + 1
-        if end <= start:
-            return 0, 0
-        retired_bytes = 0
-        for seq in range(start, end):
-            size, sent_at = unacked.pop(seq)
-            retired_bytes += size
-        retired_pkts = end - start
-        sample = now - sent_at
-        self.srtt_us = sample if self.srtt_us is None \
-            else (7 * self.srtt_us + sample) // 8
-        return retired_pkts, retired_bytes
 
     def rtt_estimate(self) -> SimTime:
         """Smoothed round trip including queueing, floored at the base path."""
@@ -239,12 +255,6 @@ class FlowSender:
             if w > limit:
                 w = limit
             self.w_abc = w if w > WINDOW_FLOOR else WINDOW_FLOOR
-
-    def _check_cap(self) -> None:
-        inflight = len(self.unacked)
-        limit = 2.0 * inflight if inflight > 1 else 2.0
-        if self.effective_window() > limit + 1e-9:
-            self.cap_violations += 1
 
 
 class AbcSender(FlowSender):

@@ -5,9 +5,19 @@ no delay and no other event is due at the same microsecond, instead of
 pushing it and popping it straight back.  ``_AlwaysPush`` keeps the
 earlier handler, which pushes every delivery.
 
-``Simulation._dispatch_sends`` pushes one event per send burst, whose
-handler runs the packets' hop-0 arrivals in order.  ``_PerPacketSends``
-keeps the earlier dispatch, which pushes one arrival per packet.
+The engine pushes one event per send burst, whose handler runs the
+packets' hop-0 arrivals in order.  ``_PerPacketSends`` keeps the earlier
+dispatch, which pushes one arrival per packet, and the earlier ACK
+handler, which dispatched each ACK's sends through ``_dispatch_sends``.
+
+``Simulation._on_deliver`` pushes one event per ACK emission (the one or
+two ACKs the receiver returns for a packet), whose handler runs each
+ACK's reaction in order.  ``_PerAckEvents`` keeps the earlier handler,
+which pushes one event per ACK.
+
+``_Recording`` logs a burst's arrivals and an emission's ACKs one entry
+each, before the handler runs them: nothing they do runs another logged
+handler, so the log reads as it would with one event each.
 
 Random topologies rich in same-microsecond ties must run the same
 handlers in the same order and give the same timeline and the same
@@ -15,6 +25,7 @@ census from each engine and its reference.
 """
 
 import hashlib
+from collections import Counter
 from heapq import heappush
 from pathlib import Path
 from unittest import mock
@@ -24,7 +35,8 @@ from hypothesis import strategies as st
 
 from accelbrake.config import load_scenario
 from accelbrake.core import MTU_BITS
-from accelbrake.engine import FlowSpec, HopSpec, ShortFlowLoad, Simulation, Topology
+from accelbrake.engine import (DELACK_TIMEOUT_US, FlowSpec, HopSpec, ShortFlowLoad, Simulation,
+                               Topology)
 from accelbrake.links import FixedLink, TraceLink
 from accelbrake.metrics import report
 
@@ -38,6 +50,10 @@ class _Recording(Simulation):
         self.calls = []
         super().__init__(*args, **kwargs)
 
+    def _on_send(self, pkts):
+        self.calls.extend((self.now, "arrive", 0, pkt.flow_id, pkt.seq) for pkt in pkts)
+        super()._on_send(pkts)
+
     def _on_arrive(self, hop_idx, pkt):
         self.calls.append((self.now, "arrive", hop_idx, pkt.flow_id, pkt.seq))
         super()._on_arrive(hop_idx, pkt)
@@ -50,9 +66,12 @@ class _Recording(Simulation):
         self.calls.append((self.now, "deliver", pkt.flow_id, pkt.seq))
         super()._on_deliver(pkt)
 
-    def _on_ack(self, runtime, ack):
-        self.calls.append((self.now, "ack", ack.flow_id, ack.acked_seq))
-        super()._on_ack(runtime, ack)
+    def _on_ack(self, runtime, acks):
+        self._record_acks(acks)
+        super()._on_ack(runtime, acks)
+
+    def _record_acks(self, acks):
+        self.calls.extend((self.now, "ack", ack.flow_id, ack.acked_seq) for ack in acks)
 
     def _on_delack(self, runtime, epoch):
         self.calls.append((self.now, "delack", runtime.sender.flow_id, epoch))
@@ -84,6 +103,11 @@ class _AlwaysPush(_Recording):
 
 
 class _PerPacketSends(_Recording):
+    def _on_ack(self, runtime, acks):
+        self._record_acks(acks)
+        for ack in acks:
+            self._dispatch_sends(runtime, runtime.sender.on_ack(ack, self.now))
+
     def _dispatch_sends(self, runtime, pkts):
         runtime.live += len(pkts)
         at = self.now + runtime.fwd_delay_us
@@ -92,6 +116,27 @@ class _PerPacketSends(_Recording):
         if runtime.sender.unacked and not runtime.rto_armed:
             runtime.rto_armed = True
             self._push(self.now + runtime.rto_us, self._on_rto, (runtime,))
+        if not runtime.live:
+            self._retire_if_finished(runtime)
+
+
+class _PerAckEvents(_Recording):
+    def _on_deliver(self, pkt):
+        self.calls.append((self.now, "deliver", pkt.flow_id, pkt.seq))
+        now = self.now
+        self.log.record_delivery(pkt.flow_id, pkt.seq, pkt.size_bytes, pkt.send_time,
+                                 now, pkt.hop_trace)
+        runtime = self.flows[pkt.flow_id]
+        runtime.live -= 1
+        echo = runtime.echo
+        acks = echo.on_packet(pkt, now)
+        if acks:
+            runtime.delack_epoch += 1
+            for ack in acks:
+                self._push(now + runtime.rev_delay_us, self._on_ack, (runtime, (ack,)))
+        elif echo.pending_count > 0:
+            self._push(now + DELACK_TIMEOUT_US, self._on_delack,
+                       (runtime, runtime.delack_epoch))
         if not runtime.live:
             self._retire_if_finished(runtime)
 
@@ -169,6 +214,37 @@ def test_send_bursts_match_per_packet_arrivals(topo, seed, coalesce, duration_us
     assert new.census() == old.census()
     assert {fid: rt.live for fid, rt in new.flows.items()} == \
         {fid: rt.live for fid, rt in old.flows.items()}
+
+
+@settings(max_examples=100, deadline=None)
+@given(topo=_tied_topologies(), seed=st.integers(0, 3),
+       coalesce=st.integers(1, 4), duration_us=st.integers(100_000, 600_000))
+def test_ack_emissions_match_per_ack_events(topo, seed, coalesce, duration_us):
+    new = _Recording(topo, duration_us, seed=seed, receiver_coalesce=coalesce)
+    old = _PerAckEvents(topo, duration_us, seed=seed, receiver_coalesce=coalesce)
+    log, old_log = new.run(), old.run()
+    # Every ACK reaches its sender at the same place in the event order.
+    assert new.calls == old.calls
+    assert _timeline_digest(log) == _timeline_digest(old_log)
+    assert report(log) == report(old_log)
+    assert new.census() == old.census()
+
+
+def test_serial_bottlenecks_emit_two_ack_emissions():
+    """A mark change flushes the old run: some emissions carry two ACKs."""
+    cfg = load_scenario(str(SCENARIO_DIR / "serial_bottlenecks.yaml"))
+    sim = Simulation(cfg.topology, 2_000_000, seed=cfg.seed,
+                     receiver_coalesce=cfg.receiver_coalesce)
+    sizes = Counter()
+
+    def counting_push(heap, item):
+        if item[2] == sim._on_ack:
+            sizes[len(item[3][1])] += 1
+        heappush(heap, item)
+
+    with mock.patch("accelbrake.engine.heappush", counting_push):
+        sim.run()
+    assert set(sizes) == {1, 2} and sizes[2] > 100
 
 
 def test_serial_bottlenecks_take_both_delivery_branches():

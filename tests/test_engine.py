@@ -343,9 +343,12 @@ def test_golden_timeline(name):
 
 # Events pushed per delivered packet in 2 simulated seconds, read from the
 # engine's event counter; the count is deterministic.  One event per send
-# burst gives 2.596 and 2.564; one event per sent packet would give 3.116
-# and 3.172.
-EVENTS_PER_DELIVERY_2S = {"single_trace": 2.60, "coexist_shorts": 2.57}
+# burst and one per ACK emission give 2.549, 2.535 and 4.699 (single_trace,
+# coexist_shorts, serial_bottlenecks).  One event per ACK would give 2.596,
+# 2.564 and 4.972; one per sent packet as well, 3.116 and 3.172 on the
+# first two.
+EVENTS_PER_DELIVERY_2S = {"single_trace": 2.55, "coexist_shorts": 2.54,
+                          "serial_bottlenecks": 4.70}
 
 
 @pytest.mark.parametrize("name", sorted(EVENTS_PER_DELIVERY_2S))

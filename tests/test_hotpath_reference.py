@@ -4,8 +4,13 @@
 code: a queue that recounts its backlog and builds its busy list on every
 call, and a sender that scans every unacked sequence number per ACK,
 re-reads its window per packet and keeps its own ``inflight`` and budget
-counters (the library derives both).  Random operation sequences must
-give the same decisions and the same state from both.
+counters (the library derives both).  The reference reads its window
+through ``effective_window()``, where the library's ``transmit`` reads it
+in its own frame.  The library retires the acknowledged prefix inside
+``on_ack``, so an ACK is fed to its ``on_ack`` and to the reference's
+retire, stale check and ``transmit``, the parts of the reaction that
+decide which packets go.  Random operation sequences must give the same
+decisions and the same state from both.
 """
 
 from collections import deque
@@ -14,7 +19,7 @@ from typing import Optional
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from accelbrake.core import MTU_BYTES, EcnCodepoint, Packet
+from accelbrake.core import MTU_BYTES, Ack, EcnCodepoint, Packet
 from accelbrake.router import ABC_QUEUE, LEGACY_QUEUE, DualQueue
 from accelbrake.sender import FlowSender
 
@@ -110,16 +115,7 @@ def test_dual_queue_matches_reference(capacity, quantum, ops):
             assert new.backlog(tag) == ref.backlog(tag)
 
 
-class _Sender(FlowSender):
-    """A sender whose window the test sets directly."""
-
-    window = 4.0
-
-    def effective_window(self):
-        return self.window
-
-
-class _ReferenceSender(_Sender):
+class _ReferenceSender(FlowSender):
     inflight = 0  # a counter, overriding the library's len(unacked) property
 
     def __init__(self, flow_id, bytes_budget=None):
@@ -147,6 +143,12 @@ class _ReferenceSender(_Sender):
             out.append(pkt)
         return out
 
+    def on_ack(self, ack, now):
+        retired_pkts, _ = self._retire(ack.acked_seq, now)
+        if retired_pkts == 0 and ack.bytes_newly_acked == 0:
+            return []  # duplicate or stale
+        return self.transmit(now)
+
     def _retire(self, acked_seq, now):
         retired_pkts = 0
         retired_bytes = 0
@@ -167,8 +169,9 @@ class _ReferenceSender(_Sender):
 
 # An ACK's point is drawn relative to the window: below it, inside it
 # (skipping unacked packets leaves sequence holes), or past next_seq.
+_windows = st.floats(0.0, 12.0)
 _sender_ops = st.lists(st.one_of(
-    st.tuples(st.just("send"), st.floats(0.0, 12.0)),
+    st.tuples(st.just("send"), _windows, st.none() | _windows),
     st.tuples(st.just("ack"), st.integers(-3, 14)),
     st.tuples(st.just("timeout")),
     st.tuples(st.just("stop")),
@@ -178,18 +181,27 @@ _sender_ops = st.lists(st.one_of(
 @settings(max_examples=300, deadline=None)
 @given(budget=st.one_of(st.none(), st.integers(0, 40_000)), ops=_sender_ops)
 def test_sender_retire_and_transmit_match_reference(budget, ops):
-    new = _Sender("f", bytes_budget=budget)
+    new = FlowSender("f", bytes_budget=budget)
     ref = _ReferenceSender("f", bytes_budget=budget)
     now = 0
     for op in ops:
         now += 1_000
         if op[0] == "send":
-            new.window = ref.window = op[1]
+            # The Cubic window and, when drawn, an accel/brake window.
+            for sender in (new, ref):
+                sender.cubic.cwnd, sender.w_abc = op[1], op[2]
             assert new.transmit(now) == ref.transmit(now)
         elif op[0] == "ack":
             lowest = ref.next_seq - len(ref.unacked)
             acked_seq = lowest + op[1] - 2
-            assert new._retire(acked_seq, now) == ref._retire(acked_seq, now)
+            newly = sum(size for seq, (size, _) in ref.unacked.items() if seq <= acked_seq)
+            ack = Ack("f", acked_seq, newly, EcnCodepoint.NOT_ECT)
+            got = new.on_ack(ack, now)
+            # The reference sends under the windows the library's reaction
+            # left (tests/test_sender_reference.py checks those).
+            vars(ref.cubic).update(vars(new.cubic))
+            ref.w_abc = new.w_abc
+            assert got == ref.on_ack(ack, now)
         elif op[0] == "timeout":
             assert new.on_timeout(now) == ref.on_timeout(now)
         else:

@@ -1,6 +1,6 @@
 """Link processes: delivery scheduling, opportunity accounting, rate views."""
 
-from bisect import bisect_left, bisect_right
+from bisect import bisect_right
 
 import pytest
 from hypothesis import example, given, settings
@@ -125,6 +125,17 @@ class TestTraceLink:
         assert link.next_delivery(10_000, after=True) == 15_000
         assert link.next_delivery(23_000) == 25_000
 
+    def test_loop_point_is_the_previous_cycles_last_opportunity(self):
+        link = TraceLink([5, 10])
+        # 10 ms is the first cycle's last opportunity, which
+        # opportunity_bytes counts; time 0 is no opportunity.
+        assert link.opportunity_bytes(9_999, 10_000) == pytest.approx(1500)
+        assert link.next_delivery(10_000) == 10_000
+        assert link.next_delivery(9_999, after=True) == 10_000
+        assert link.next_delivery(30_000) == 30_000
+        assert link.next_delivery(0) == 5_000
+        assert link.opportunity_bytes(-1, 0) == 0.0
+
     def test_opportunity_counting(self):
         link = TraceLink([5, 10])
         assert link.opportunity_bytes(0, 10_000) == pytest.approx(2 * 1500)
@@ -156,12 +167,13 @@ class _BisectTraceLink(LinkProcess):
 
     def next_delivery(self, now, after=False):
         now = max(0, now)
-        target = now + 1 if after else now
-        cycle, rem = divmod(target, self.period_us)
-        i = bisect_left(self._offsets_us, rem)
-        if i == len(self._offsets_us):
-            cycle, i = cycle + 1, 0
-        return cycle * self.period_us + self._offsets_us[i]
+        # The first opportunity at or after target.  Time 0 is none, so
+        # from 0 that is the first one at or after 1 µs.
+        target = max(1, now + 1 if after else now)
+        # Cycle c's opportunities are c * period + offset; the first offset
+        # above (target - 1)'s remainder is at or after target.
+        cycle, rem = divmod(target - 1, self.period_us)
+        return cycle * self.period_us + self._offsets_us[bisect_right(self._offsets_us, rem)]
 
     def opportunity_bytes(self, start, end):
         if end <= start:
@@ -200,6 +212,8 @@ def test_trace_link_matches_bisect_reference(case, window):
     view = OracleRateView(link, window)
     for t in times:
         assert link.next_delivery(t) == ref.next_delivery(t), t
+        # t is an opportunity exactly when opportunity_bytes counts one there.
+        assert (link.next_delivery(t) == t) == (link.opportunity_bytes(t - 1, t) > 0), t
         assert link.next_delivery(t, after=True) == ref.next_delivery(t, after=True), t
         width = min(window, t)
         want = (ref.opportunity_bytes(t - width, t) * 8 * 1_000_000 / width if width > 0

@@ -11,7 +11,6 @@ from accelbrake.router import (
     AbcRouter,
     DualQueue,
     MarkerState,
-    RateWindow,
     accel_fraction,
     target_rate,
     water_fill,
@@ -84,21 +83,30 @@ def test_accel_fraction_caps_and_idles():
 
 # --------------------------------------------------------------- rate window
 
-def test_rate_window_measures_and_evicts():
-    win = RateWindow(window_us=10_000)
-    assert win.add(1_000, 1500) == pytest.approx(1.2e6)
-    # 3000 bytes over 10 ms = 2.4 Mbit/s.
-    assert win.add(5_000, 1500) == pytest.approx(2.4e6)
-    # A zero-byte add reads the rate.  The first event ages out at 11_000,
-    # once it is a full window old.
-    assert win.add(10_999, 0) == pytest.approx(2.4e6)
-    assert win.add(11_000, 0) == pytest.approx(1.2e6)
-    assert win.add(15_001, 0) == 0.0
+def test_dequeue_rate_measures_and_evicts():
+    # The current-rate column of the router's rows: ABC bytes dequeued in
+    # the last 10 ms, the packet just served included.
+    r = AbcRouter("r", AbcParams(rate_window_us=10_000), _FixedCapacity(24e6),
+                  buffer_pkts=16, log_rows=True)
+    for i in range(6):
+        r.enqueue(_pkt("f", i), 0)
+    r.enqueue(_pkt("g", 0, ecn=EcnCodepoint.NOT_ECT), 0)
+    rates = {}
+    for now in (1_000, 5_000, 10_999, 11_000, 15_001, 21_000):
+        r.on_dequeue(now)
+        rates[now] = r.rows[-1][4]
+    # 3000 bytes over 10 ms = 2.4 Mbit/s.  The first packet ages out at
+    # 11_000, once it is a full window old.
+    assert rates == {1_000: 1.2e6, 5_000: 2.4e6, 10_999: 3.6e6, 11_000: 3.6e6,
+                     15_001: 3.6e6, 21_000: 2.4e6}
+    # Legacy dequeues leave the rate alone.
+    r.on_dequeue(21_500)
+    assert r.rows[-1][1] == LEGACY_QUEUE and r.rows[-1][4] == ""
 
 
-def test_rate_window_rejects_bad_width():
-    with pytest.raises(ValueError):
-        RateWindow(0)
+def test_rejects_bad_rate_window():
+    with pytest.raises(ValueError, match="rate_window_us"):
+        AbcRouter("r", AbcParams(rate_window_us=0), _FixedCapacity(1e6))
 
 
 # -------------------------------------------------------------- marking meter

@@ -6,23 +6,27 @@ deficit round-robin, reads the rate window through ``add`` then ``rate``,
 and marks through the range-checked ``MarkerState.mark``.  Those parts are
 kept here as they were (``_ReferenceDualQueue``, ``_ReferenceRateWindow``,
 ``_reference_target_rate``, ``_reference_accel_fraction``,
-``_ReferenceMarker``).  ``update_weights`` is the library's on both sides;
+``_ReferenceMarker``).  The library router admits packets, serves a lone
+backlogged queue and keeps its rate window in its own frame, so the test
+also runs the reference over the library's ``DualQueue``, whose
+``enqueue`` and ``dequeue`` those inline copies must match.
+``update_weights`` is the library's on both sides;
 it feeds both queues' weights from their own sketches.  The reference
 also keeps the earlier per-queue byte counter ``_epoch_bytes``, which the
 library now reads as the sum of the queue's sketch counters.  Random
 enqueue/dequeue/weight sequences must give the same packets, marks,
-tokens, enqueue stamps, rate-window entries and per-queue bytes after
-every step.
+tokens, enqueue stamps, rate-window entries, round-robin state and
+per-queue bytes after every step.
 """
 
 from collections import deque
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from accelbrake.core import ACCEL, BRAKE, MTU_BYTES, US_PER_S, EcnCodepoint, Packet
 from accelbrake.links import FixedLink, OracleRateView, TraceLink
-from accelbrake.router import ABC_QUEUE, LEGACY_QUEUE, AbcParams, AbcRouter
+from accelbrake.router import ABC_QUEUE, LEGACY_QUEUE, AbcParams, AbcRouter, DualQueue
 
 
 class _ReferenceDualQueue:
@@ -137,9 +141,9 @@ class _ReferenceMarker:
 
 
 class _ReferenceRouter(AbcRouter):
-    def __init__(self, *args, **kwargs):
+    def __init__(self, *args, queue_cls=_ReferenceDualQueue, **kwargs):
         super().__init__(*args, **kwargs)
-        queue = _ReferenceDualQueue(self.queue.capacity_pkts)
+        queue = queue_cls(self.queue.capacity_pkts)
         queue.weight_abc = self.queue.weight_abc
         self.queue = queue
         self.marker = _ReferenceMarker(self.params.token_limit)
@@ -206,7 +210,8 @@ _router_ops = st.lists(st.tuples(st.integers(0, 8).map(lambda k: 500 * k), st.on
 
 
 @settings(max_examples=300, deadline=None)
-@given(buffer_pkts=st.integers(1, 16), log_rows=st.booleans(),
+@given(queue_cls=st.sampled_from([_ReferenceDualQueue, DualQueue]),
+       buffer_pkts=st.integers(1, 16), log_rows=st.booleans(),
        fixed_fraction=st.one_of(st.none(), st.floats(0.0, 1.0)),
        view=st.sampled_from(["fixed", "trace"]),
        rate_mbps=st.sampled_from([0.0, 0.1, 1.0, 12.0, 96.0]),
@@ -217,8 +222,15 @@ _router_ops = st.lists(st.tuples(st.integers(0, 8).map(lambda k: 500 * k), st.on
                         rate_window_us=st.integers(2, 60).map(lambda k: 500 * k),
                         sketch_size=st.integers(1, 4)),
        ops=_router_ops)
-def test_router_matches_reference(buffer_pkts, log_rows, fixed_fraction, view, rate_mbps,
-                                  params, ops):
+# A dequeue exactly one rate window after the first: that entry leaves the
+# window then.
+@example(queue_cls=DualQueue, buffer_pkts=4, log_rows=True, fixed_fraction=None, view="fixed",
+         rate_mbps=12.0, params=AbcParams(rate_window_us=1_000),
+         ops=[(0, ("enqueue", "a", EcnCodepoint.ACCEL, 1500)),
+              (0, ("enqueue", "a", EcnCodepoint.ACCEL, 1500)),
+              (0, ("dequeue",)), (1_000, ("dequeue",))])
+def test_router_matches_reference(queue_cls, buffer_pkts, log_rows, fixed_fraction, view,
+                                  rate_mbps, params, ops):
     def capacity_view():
         if view == "trace":
             # Opportunities at 1, 2, 4 and 7 ms of every 7 ms period.
@@ -230,7 +242,8 @@ def test_router_matches_reference(buffer_pkts, log_rows, fixed_fraction, view, r
     new = AbcRouter("r", params, capacity_view(), buffer_pkts=buffer_pkts,
                     fixed_fraction=fixed_fraction, log_rows=log_rows)
     ref = _ReferenceRouter("r", params, capacity_view(), buffer_pkts=buffer_pkts,
-                           fixed_fraction=fixed_fraction, log_rows=log_rows)
+                           fixed_fraction=fixed_fraction, log_rows=log_rows,
+                           queue_cls=queue_cls)
     now = 0
     for seq, (step, op) in enumerate(ops):
         now += step
@@ -252,9 +265,12 @@ def test_router_matches_reference(buffer_pkts, log_rows, fixed_fraction, view, r
         assert new.marker.token == ref.marker.token
         # With log_rows, every dequeue's fraction, target and rate as well.
         assert new.rows == ref.rows
-        assert list(new.rate_window._events) == list(ref.rate_window._events)
-        assert new.rate_window._bytes == ref.rate_window._bytes
+        assert list(new._rate_events) == list(ref.rate_window._events)
+        assert new._rate_bytes == ref.rate_window._bytes
         assert new.weight_abc == ref.queue.weight_abc
+        # Where the round-robin stands: the lone-queue path resets it.
+        assert (new.queue._deficit, new.queue._ptr, new.queue._fresh_visit) == \
+            (ref.queue._deficit, ref.queue._ptr, ref.queue._fresh_visit)
         for tag in (ABC_QUEUE, LEGACY_QUEUE):
             # What the next update_weights reads as this queue's bytes.
             assert sum(new._sketches[tag].counts().values()) == ref._epoch_bytes[tag]

@@ -3,11 +3,14 @@
 ``_ReferenceAbcSender`` and ``_ReferenceCubicSender`` keep the earlier
 code, in which each flavor wrote its own ACK sequence (retire, stale
 check, mark update, Cubic reaction, cap, transmit, cap check), its own
-timeout and its own window clamp.  ``transmit`` and ``_retire`` are
-inherited (``tests/test_hotpath_reference.py`` checks those), wrapped by
+timeout and its own window clamp.  ``transmit`` is inherited
+(``tests/test_hotpath_reference.py`` checks it), wrapped by
 ``_CountingSender`` to keep the earlier ``inflight`` and budget counters
-that the library now derives.  Random ACK streams must leave both sides
-in the same state after every step.
+that the library now derives.  The library's ``on_ack`` retires the
+acknowledged prefix and checks the cap in its own frame;
+``_CountingSender`` keeps those steps as the separate ``_retire`` and
+``_check_cap`` they were.  Random ACK streams must leave both sides in
+the same state after every step.
 """
 
 import pytest
@@ -34,9 +37,30 @@ class _CountingSender(FlowSender):
         return out
 
     def _retire(self, acked_seq, now):
-        retired_pkts, retired_bytes = super()._retire(acked_seq, now)
+        """Drop everything at or below the cumulative ACK point; returns
+        (packets retired, bytes retired)."""
+        unacked = self.unacked
+        end = self.next_seq
+        start = end - len(unacked)
+        if acked_seq < end:
+            end = acked_seq + 1
+        if end <= start:
+            return 0, 0
+        retired_bytes = 0
+        for seq in range(start, end):
+            size, sent_at = unacked.pop(seq)
+            retired_bytes += size
+        retired_pkts = end - start
+        sample = now - sent_at
+        self.srtt_us = sample if self.srtt_us is None \
+            else (7 * self.srtt_us + sample) // 8
         self.inflight -= retired_pkts
         return retired_pkts, retired_bytes
+
+    def _check_cap(self):
+        limit = 2.0 * max(self.inflight, 1)
+        if self.effective_window() > limit + 1e-9:
+            self.cap_violations += 1
 
 
 def _base_timeout(sender, now):
