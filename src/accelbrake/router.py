@@ -416,7 +416,8 @@ class AbcRouter:
             samples = hist[key]
             while samples and samples[0][0] < horizon:
                 samples.popleft()
-            if not samples or max(r for _, r in samples) < 1e3:
+            peak = max((r for _, r in samples), default=0.0)
+            if peak < 1e3:
                 del hist[key]
                 continue
             # One sighting is a short transfer passing through; a flow
@@ -427,7 +428,6 @@ class AbcRouter:
             if len(samples) < 2:
                 continue
             tag, _flow = key
-            peak = max(r for _, r in samples)
             demands.append(peak * (1.0 + self.params.demand_headroom))
             owners.append(tag)
             if samples[-1][0] == self._epoch - 1:

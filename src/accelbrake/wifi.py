@@ -52,7 +52,10 @@ the next block, and the table.  That is O(block + window) whatever the
 stream's length; only the returned list grows with it.
 
 ``generate_mac_trace`` synthesizes acknowledgment streams with known
-ground truth for exercising the estimator.
+ground truth for exercising the estimator.  Each batch's overhead is
+one ``random.Random.lognormvariate`` draw above the profile's floor, and
+``tests/test_companion_reference.py`` checks the stream bit for bit
+against a plain reference loop.
 """
 
 from __future__ import annotations
@@ -64,7 +67,7 @@ import random
 from bisect import bisect_right
 from dataclasses import dataclass, replace
 from itertools import islice
-from typing import Callable, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -294,22 +297,6 @@ class OverheadModel:
         if self.std_us < 0:
             raise ValueError("overhead deviation must be non-negative")
 
-    def sampler(self, rng: random.Random) -> Callable[[], float]:
-        """A function drawing one overhead from ``rng`` per call.
-
-        The log-normal's parameters are worked out here, once, rather than
-        on every draw.
-        """
-        if self.std_us == 0:
-            mean = self.mean_us
-            return lambda: mean
-        m = self.mean_us - self.floor_us
-        sigma2 = math.log(1.0 + (self.std_us / m) ** 2)
-        mu = math.log(m) - sigma2 / 2.0
-        sigma = math.sqrt(sigma2)
-        floor, lognormvariate = self.floor_us, rng.lognormvariate
-        return lambda: floor + lognormvariate(mu, sigma)
-
 
 @dataclass
 class LinkProfile:
@@ -343,8 +330,9 @@ def generate_mac_trace(profile: LinkProfile, offered_load_bps: float,
     Frames of ``frame_bits`` arrive continuously at ``offered_load_bps``;
     whenever at least one whole frame is queued the link sends
     ``min(M, floor(queue))`` of them and acknowledges the batch after its
-    airtime plus one sampled overhead.  ``rate_schedule`` optionally steps
-    the PHY rate over time as ``(start_s, rate_bps)`` pairs.
+    airtime plus one overhead drawn from the profile's log-normal.
+    ``rate_schedule`` optionally steps the PHY rate over time as
+    ``(start_s, rate_bps)`` pairs, in order of start.
     """
     if offered_load_bps <= 0:
         raise ValueError(f"offered load must be positive, got {offered_load_bps}")
@@ -354,17 +342,33 @@ def generate_mac_trace(profile: LinkProfile, offered_load_bps: float,
         else [(float(a), float(b)) for a, b in rate_schedule]
     if schedule[0][0] != 0.0:
         raise ValueError("rate schedule must start at time 0")
-    for _, r in schedule:
-        if offered_load_bps > 2.0 * profile.true_capacity(r):
-            raise ValueError("offered load exceeds twice the link capacity")
     starts = [s for s, _ in schedule]
     rates = [r for _, r in schedule]
+    if any(a > b for a, b in zip(starts, starts[1:])):
+        raise ValueError("rate schedule must be in order of start time")
+    for r in rates:
+        if offered_load_bps > 2.0 * profile.true_capacity(r):
+            raise ValueError("offered load exceeds twice the link capacity")
 
-    overhead = profile.overhead.sampler(random.Random(seed))
+    # The overhead is floor plus a log-normal draw, so that it has the
+    # profile's mean and deviation, or the mean when it does not vary.
+    oh = profile.overhead
+    draw = oh.std_us != 0
+    if draw:
+        m = oh.mean_us - oh.floor_us
+        sigma2 = math.log(1.0 + (oh.std_us / m) ** 2)
+        mu = math.log(m) - sigma2 / 2.0
+        sigma = math.sqrt(sigma2)
+    lognormvariate = random.Random(seed).lognormvariate
+    floor, mean = oh.floor_us, oh.mean_us
+
     max_batch, frame_bits = profile.max_batch, profile.frame_bits
     duration_us = duration_s * US_PER_S
     arrivals_per_us = offered_load_bps / frame_bits / US_PER_S
     backlog_cap = 50.0 * max_batch
+    # The rate in force, phy, is looked up again once t reaches the next
+    # step's start; tx_us[b] is then the airtime of a batch of b frames.
+    next_start = 0.0
     t = 0.0
     backlog = 0.0
     prev_ack = 0.0
@@ -374,13 +378,24 @@ def generate_mac_trace(profile: LinkProfile, offered_load_bps: float,
         if backlog < 1.0:
             t += (1.0 - backlog) / arrivals_per_us
             backlog = 1.0
-        phy = rates[bisect_right(starts, t / US_PER_S) - 1]
-        b = min(max_batch, int(backlog))
-        airtime = b * frame_bits * US_PER_S / phy + overhead()
+        if t / US_PER_S >= next_start:
+            step = bisect_right(starts, t / US_PER_S)
+            phy = rates[step - 1]
+            next_start = starts[step] if step < len(starts) else math.inf
+            tx_us = [b * frame_bits * US_PER_S / phy for b in range(max_batch + 1)]
+        b = int(backlog)
+        if b > max_batch:
+            b = max_batch
+        if draw:
+            airtime = tx_us[b] + (floor + lognormvariate(mu, sigma))
+        else:
+            airtime = tx_us[b] + mean
         t += airtime
         if t > duration_us:
             return events
-        backlog = min(backlog + arrivals_per_us * airtime - b, backlog_cap)
+        backlog = backlog + arrivals_per_us * airtime - b
+        if backlog > backlog_cap:
+            backlog = backlog_cap
         append(AmpduAckEvent(int(t), b, frame_bits, phy, max_batch, t - prev_ack, user))
         prev_ack = t
 

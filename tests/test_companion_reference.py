@@ -271,6 +271,35 @@ def test_constant_overhead_and_short_window_match_reference():
                      _reference_stream(events, window_us, 2.0, recompute_inter_ack=False))
 
 
+def test_rate_step_at_a_tested_time_matches_reference():
+    # Every time here is an integer number of microseconds: 1000-bit frames
+    # arrive every 1024 us, a frame's airtime is 1000 or 500 us and the
+    # overhead is a constant 500 us.  The load exceeds the capacity, so
+    # after the first batch the link never idles and the rate is looked up
+    # at the previous ACK's time.  A step that starts exactly then applies
+    # to the next batch: the lookup is bisect_right's, t >= start.
+    profile = LinkProfile(1e6, 4, 1_000, OverheadModel(500.0, 0.0, 0.0))
+    load = 1e9 / 1_024
+    plain = generate_mac_trace(profile, load, 0.2)
+    k = len(plain) // 2
+    step_s = plain[k].time_us / US_PER_S
+    schedule = [(0.0, 1e6), (step_s, 2e6), (step_s + 0.0123, 1e6)]
+    events = generate_mac_trace(profile, load, 0.2, rate_schedule=schedule)
+    _assert_same(events, _reference_generate(profile, load, 0.2, 0, schedule, 0))
+    assert events[k].time_us == plain[k].time_us
+    assert (events[k].phy_rate_bps, events[k + 1].phy_rate_bps) == (1e6, 2e6)
+
+
+def test_default_profile_minute_matches_reference():
+    # The companion benchmark's trace: 60 s at 40 Mbit/s on the default link.
+    profile = LinkProfile()
+    events = generate_mac_trace(profile, 40e6, 60.0, seed=0)
+    assert len(events) > 20_000
+    _assert_same(events, _reference_generate(profile, 40e6, 60.0, 0, None, 0))
+    _assert_same(estimate_capacity(events, 40_000),
+                 _reference_stream(events, 40_000, 2.0, recompute_inter_ack=False))
+
+
 @settings(max_examples=30, deadline=None, phases=_NO_SHRINK)
 @given(seeds=st.lists(st.integers(0, 1_000), min_size=2, max_size=4),
        window_us=st.sampled_from([500, 40_000, 100_000]))
@@ -379,6 +408,20 @@ def test_long_disordered_stream_matches_reference(window_us):
     _assert_same_outcome(events, window_us)
     # The same stream in time order goes through the weight table.
     events.sort(key=lambda ev: ev.time_us)
+    _assert_same_outcome(events, window_us)
+
+
+@pytest.mark.parametrize("window_us", [1, 2, 1_000, 40_000])
+def test_ordered_times_with_repeats_match_reference(window_us):
+    # Times in order, many of them repeated, across several blocks: the
+    # window front must stop at the first of a run of equal times.
+    rng = random.Random(window_us)
+    t, times = 0, []
+    for _ in range(2_500):
+        t += rng.choice([0, 0, 0, 1, 2, 700, 3_000])
+        times.append(t)
+    events = [_hand_event(t, batch=rng.randint(1, 8), gap=rng.uniform(1.0, 9_000.0))
+              for t in times]
     _assert_same_outcome(events, window_us)
 
 

@@ -140,16 +140,32 @@ def test_merge_recomputes_shared_gaps():
 
 # ---------------------------------------------------------- synthetic traces
 
+def _overheads(model, seed, duration_s):
+    """Each batch's overhead, read from a generated trace's gaps.
+
+    The link is offered almost twice its capacity, so after the first
+    batch it is never idle: a gap is the batch's airtime plus its overhead.
+    """
+    p = LinkProfile(300e6, 1, 4_000, model)
+    events = generate_mac_trace(p, 1.9 * p.true_capacity(), duration_s, seed=seed)
+    return [ev.inter_ack_us - ev.batch_frames * ev.frame_bits * 1e6 / ev.phy_rate_bps
+            for ev in events[1:]]
+
+
 def test_overhead_model_statistics():
-    m = OverheadModel(mean_us=1_000, std_us=300, floor_us=200)
-    draw = m.sampler(random.Random(0))
-    samples = [draw() for _ in range(20_000)]
-    assert min(samples) >= 200
+    samples = _overheads(OverheadModel(mean_us=1_000, std_us=300, floor_us=200), 0, 21.0)
+    assert len(samples) > 20_000
+    assert min(samples) >= 200 - 1e-6
     assert sum(samples) / len(samples) == pytest.approx(1_000, rel=0.02)
 
 
 def test_overhead_model_degenerate_and_invalid():
-    assert OverheadModel(std_us=0).sampler(random.Random(1))() == 1000.0
+    # No deviation: every overhead is the mean, and the seed changes nothing.
+    model = OverheadModel(std_us=0)
+    samples = _overheads(model, 1, 0.5)
+    assert len(samples) > 400
+    assert samples == pytest.approx([1000.0] * len(samples), abs=1e-6)
+    assert samples == _overheads(model, 2, 0.5)
     with pytest.raises(ValueError):
         OverheadModel(mean_us=100, floor_us=200).validate()
     with pytest.raises(ValueError):
@@ -181,6 +197,8 @@ def test_generator_input_validation():
         generate_mac_trace(p, 3.0 * p.true_capacity(), 1.0)
     with pytest.raises(ValueError):
         generate_mac_trace(p, 1e6, 1.0, rate_schedule=[(0.5, 24e6)])
+    with pytest.raises(ValueError, match="in order of start time"):
+        generate_mac_trace(p, 1e6, 1.0, rate_schedule=[(0.0, 24e6), (0.6, 12e6), (0.3, 24e6)])
 
 
 def test_overloaded_link_fills_batches():
