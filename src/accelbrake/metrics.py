@@ -4,7 +4,8 @@ The simulator appends one row per delivered packet (with per-hop
 enqueue/dequeue stamps), one record per drop, and per-hop byte totals.
 The functions here turn those into link utilization, queuing-delay
 percentiles, per-flow throughput and Jain's fairness index, gather a run's
-figures in ``report``, and write the CSV/summary artifacts for a run.
+figures in ``report``, digest its packet timeline in ``timeline_digest``,
+and write the CSV/summary artifacts for a run.
 
 Deliveries are stored by column, so a row costs a few machine words
 instead of a record, a tuple per hop and an int object per stamp:
@@ -32,6 +33,7 @@ the rank a sort of every delay would give.
 from __future__ import annotations
 
 import csv
+import hashlib
 import math
 import os
 from array import array
@@ -266,6 +268,23 @@ def report(log: MetricsLog) -> dict:
         } for hop_id, stats in log.hop_stats.items()},
         "flows": flows,
     }
+
+
+def timeline_digest(log: MetricsLog) -> str:
+    """sha256 of the packet timeline; equal digests mean equal timelines.
+
+    One line per delivery in delivery order, ``flow,seq,deliver time,``
+    then ``hop,enqueue,dequeue`` per hop joined by ``;``, and then one
+    ``drop,flow,seq,hop,time`` line per drop.  Compare two runs by their
+    digests; the golden digests in the tests pin these bytes.
+    """
+    h = hashlib.sha256()
+    for r in log.deliveries:
+        hops = ";".join(f"{hop},{enq},{deq}" for hop, enq, deq in r.hops)
+        h.update(f"{r.flow_id},{r.seq},{r.deliver_time},{hops}\n".encode())
+    for d in log.drops:
+        h.update(f"drop,{d.flow_id},{d.seq},{d.hop_id},{d.time}\n".encode())
+    return h.hexdigest()
 
 
 # ---------------------------------------------------------------------------

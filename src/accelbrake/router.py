@@ -13,16 +13,14 @@ served by deficit round-robin, and the ABC queue's capacity share is
 re-derived every weight interval from a max-min allocation over the
 heaviest flows seen in each queue.
 
-``AbcRouter.enqueue`` and ``on_dequeue`` each handle a packet in one
-frame: the admission test, the lone-queue dequeue and the rate window
-are written into them, and only the round-robin between two backlogged
-queues goes through ``DualQueue.dequeue``.  The calls that stay are the
-ones that cross into another part: the Space Saving sketch's ``record``,
-the capacity view, ``target_rate`` and ``accel_fraction`` (public
-functions), and ``MarkerState.mark``, the metered marking whose
-guarantees are tested on their own.  ``DualQueue`` keeps the whole
-discipline as a class of its own, which the tests hold the router's
-inline copies to.
+``AbcRouter`` holds both queues itself and handles a packet in one frame:
+``enqueue`` is the admission test, and ``on_dequeue`` serves a lone
+backlogged queue, keeps the rate window and marks.  Only the round-robin
+between two backlogged queues is a method of its own, ``_round_robin``.
+The calls that stay are the ones that cross into another part: the Space
+Saving sketch's ``record``, the capacity view, ``target_rate`` and
+``accel_fraction`` (public functions), and ``MarkerState.mark``, the
+metered marking whose guarantees are tested on their own.
 """
 
 from __future__ import annotations
@@ -36,6 +34,7 @@ from .topk import SpaceSavingSketch
 
 ABC_QUEUE = "abc"
 LEGACY_QUEUE = "legacy"
+_TAGS = (ABC_QUEUE, LEGACY_QUEUE)  # the order of AbcRouter._queues
 
 
 @dataclass
@@ -134,89 +133,6 @@ class MarkerState:
         return pkt
 
 
-class DualQueue:
-    """Two FIFO queues sharing one buffer, served by deficit round-robin.
-
-    The scheduler grants each queue ``weight * quantum`` bytes of deficit
-    per visit and is work-conserving: a lone backlogged queue is always
-    served regardless of its weight.  With both queues backlogged,
-    service converges to the weight split within one packet.
-
-    ``AbcRouter`` keeps its packets in one of these but admits them and
-    serves a lone backlogged queue itself, with the same rules as
-    ``enqueue`` and ``dequeue`` here.
-    """
-
-    # An arrival is accepted only while its queue is shorter than this
-    # multiple of the free buffer space (a dynamic threshold in the
-    # shared-memory-switch tradition): a queue hogging the buffer caps
-    # itself while slack remains, so it can never starve the other
-    # queue's arrivals, yet all losses stay classic tail drops.
-    THRESHOLD_RATIO = 2.0
-    QUANTUM_BYTES = MTU_BYTES
-
-    def __init__(self, capacity_pkts: int):
-        if capacity_pkts < 1:
-            raise ValueError(f"buffer capacity must be at least 1 packet, got {capacity_pkts}")
-        self.capacity_pkts = capacity_pkts
-        self.weight_abc = 1.0
-        self._tags = (ABC_QUEUE, LEGACY_QUEUE)
-        # Indexed like _tags; _ptr is the index of the queue DRR visits next.
-        self._by_index = (deque(), deque())
-        self._queues = dict(zip(self._tags, self._by_index))
-        self._deficit = [0.0, 0.0]
-        self._ptr = 0
-        self._fresh_visit = True
-
-    def backlog(self, tag: Optional[str] = None) -> int:
-        if tag is not None:
-            return len(self._queues[tag])
-        return len(self._by_index[0]) + len(self._by_index[1])
-
-    def enqueue(self, tag: str, pkt: Packet, now: SimTime) -> Optional[Packet]:
-        """Append to one queue; returns the arriving packet if it was dropped."""
-        q = self._queues[tag]
-        abc, legacy = self._by_index
-        if len(q) >= self.THRESHOLD_RATIO * (self.capacity_pkts - len(abc) - len(legacy)):
-            return pkt
-        q.append((pkt, now))
-        return None
-
-    def dequeue(self, now: SimTime) -> tuple[str, Packet, SimTime]:
-        """Pop the next packet per DRR; returns (queue tag, packet, enqueue time)."""
-        abc, legacy = self._by_index
-        if not abc or not legacy:
-            if abc:
-                idx = 0
-            elif legacy:
-                idx = 1
-            else:
-                raise IndexError("dequeue from an empty dual queue")
-            # Work conservation: serve the lone busy queue and restart the
-            # round cleanly so no credit is banked across idle periods.
-            deficit = self._deficit
-            deficit[0] = deficit[1] = 0.0
-            self._ptr = idx ^ 1
-            self._fresh_visit = True
-            pkt, enq = self._by_index[idx].popleft()
-            return self._tags[idx], pkt, enq
-        deficit = self._deficit
-        while True:
-            idx = self._ptr
-            if self._fresh_visit:
-                weight = self.weight_abc if idx == 0 else 1.0 - self.weight_abc
-                deficit[idx] += weight * self.QUANTUM_BYTES
-                self._fresh_visit = False
-            q = self._by_index[idx]
-            size = q[0][0].size_bytes
-            if deficit[idx] >= size:
-                deficit[idx] -= size
-                pkt, enq = q.popleft()
-                return self._tags[idx], pkt, enq
-            self._ptr ^= 1
-            self._fresh_visit = True
-
-
 def water_fill(demands: list[float], capacity: float) -> list[float]:
     """Max-min fair allocation of ``capacity`` across ``demands``.
 
@@ -248,11 +164,28 @@ def water_fill(demands: list[float], capacity: float) -> list[float]:
 class AbcRouter:
     """Dual-queue bottleneck discipline with accel/brake marking.
 
+    Accelerated and braked packets join the ABC queue, everything else the
+    legacy queue.  The two queues share one buffer of ``buffer_pkts`` and
+    are served by deficit round-robin: each visit grants a queue
+    ``weight * QUANTUM_BYTES`` bytes of deficit, where the ABC queue's
+    weight is ``weight_abc`` and the legacy queue's the rest.  The
+    scheduler is work-conserving: a lone backlogged queue is always served
+    regardless of its weight.  With both queues backlogged, service
+    converges to the weight split within one packet.
+
     ``capacity_view`` supplies the link rate estimate mu(t) (an oracle over
-    the attached link, or a replayed wireless estimate).  ``fixed_fraction``
-    pins the marking fraction instead of deriving it from rates, which is
-    useful for controlled experiments on the marking machinery itself.
+    the attached link).  ``fixed_fraction`` pins the marking fraction
+    instead of deriving it from rates, which is useful for controlled
+    experiments on the marking machinery itself.
     """
+
+    # An arrival is accepted only while its queue is shorter than this
+    # multiple of the free buffer space (a dynamic threshold in the
+    # shared-memory-switch tradition): a queue hogging the buffer caps
+    # itself while slack remains, so it can never starve the other
+    # queue's arrivals, yet all losses stay classic tail drops.
+    THRESHOLD_RATIO = 2.0
+    QUANTUM_BYTES = MTU_BYTES
 
     def __init__(self, hop_id: str, params: AbcParams, capacity_view,
                  buffer_pkts: int = 250, fixed_fraction: Optional[float] = None,
@@ -262,12 +195,21 @@ class AbcRouter:
             raise ValueError(f"fixed fraction must be in [0, 1], got {fixed_fraction}")
         if not 0 <= initial_weight <= 1:
             raise ValueError(f"initial weight must be in [0, 1], got {initial_weight}")
+        if buffer_pkts < 1:
+            raise ValueError(f"buffer capacity must be at least 1 packet, got {buffer_pkts}")
         self.hop_id = hop_id
         self.params = params
         self.capacity_view = capacity_view
         self.fixed_fraction = fixed_fraction
-        self.queue = DualQueue(buffer_pkts)
-        self.queue.weight_abc = initial_weight
+        self.buffer_pkts = buffer_pkts
+        self.weight_abc = initial_weight
+        # The ABC and legacy queues of (packet, enqueue time), indexed like
+        # _TAGS, with their deficits; _ptr is the index of the queue the
+        # round-robin visits next.
+        self._queues = (deque(), deque())
+        self._deficit = [0.0, 0.0]
+        self._ptr = 0
+        self._fresh_visit = True
         self.marker = MarkerState(params.token_limit)
         # The ABC queue's dequeue rate over the last rate_window_us: each
         # ABC dequeue's (time, bytes) still inside the window, and their sum.
@@ -289,54 +231,37 @@ class AbcRouter:
         self._epoch = 0
         self._shorts_ewma = {ABC_QUEUE: 0.0, LEGACY_QUEUE: 0.0}
 
-    @property
-    def weight_abc(self) -> float:
-        return self.queue.weight_abc
-
     def enqueue(self, pkt: Packet, now: SimTime) -> Optional[Packet]:
-        """Queue a packet; returns the dropped packet on overflow, else None.
-
-        Accelerated and braked packets join the ABC queue, everything else
-        the legacy queue.  The admission rule is ``DualQueue.enqueue``'s.
-        """
-        queue = self.queue
-        abc, legacy = queue._by_index
+        """Queue a packet; returns the dropped packet on overflow, else None."""
+        abc, legacy = self._queues
         ecn = pkt.ecn
         q = abc if ecn is ACCEL or ecn is BRAKE else legacy
-        if len(q) >= queue.THRESHOLD_RATIO * (queue.capacity_pkts - len(abc) - len(legacy)):
+        if len(q) >= self.THRESHOLD_RATIO * (self.buffer_pkts - len(abc) - len(legacy)):
             return pkt
         q.append((pkt, now))
         return None
 
     def backlog(self) -> int:
-        # DualQueue.backlog()'s count in one frame: the engine asks on
-        # every dequeue event.
-        abc, legacy = self.queue._by_index
+        abc, legacy = self._queues
         return len(abc) + len(legacy)
 
     def on_dequeue(self, now: SimTime) -> tuple[Packet, SimTime]:
-        """Serve one packet: mark it if it is ABC traffic, account its bytes.
-
-        With both queues backlogged the packet comes from
-        ``DualQueue.dequeue``'s round-robin; a lone backlogged queue is
-        served here the way that method serves it.
-        """
-        queue = self.queue
-        abc, legacy = queue._by_index
+        """Serve one packet: mark it if it is ABC traffic, account its bytes."""
+        abc, legacy = self._queues
         if abc and legacy:
-            tag, pkt, enqueued_at = queue.dequeue(now)
+            tag, pkt, enqueued_at = self._round_robin()
         else:
             # Work conservation: serve the lone busy queue and restart the
             # round cleanly so no credit is banked across idle periods.
-            deficit = queue._deficit
+            deficit = self._deficit
             deficit[0] = deficit[1] = 0.0
-            queue._fresh_visit = True
+            self._fresh_visit = True
             if abc:
-                queue._ptr = 1
+                self._ptr = 1
                 tag = ABC_QUEUE
                 pkt, enqueued_at = abc.popleft()
             elif legacy:
-                queue._ptr = 0
+                self._ptr = 0
                 tag = LEGACY_QUEUE
                 pkt, enqueued_at = legacy.popleft()
             else:
@@ -361,7 +286,7 @@ class AbcRouter:
                 fraction = self.fixed_fraction
                 target = current = 0.0
             else:
-                mu = self.capacity_view.capacity(now) * queue.weight_abc
+                mu = self.capacity_view.capacity(now) * self.weight_abc
                 target = target_rate(self.params, mu, sojourn_us)
                 fraction = accel_fraction(target, current)
             self.marker.mark(pkt, fraction)
@@ -372,6 +297,27 @@ class AbcRouter:
         elif self.log_rows:
             self.rows.append((now, tag, "", "", "", now - enqueued_at, "", pkt.ecn.name))
         return pkt, enqueued_at
+
+    def _round_robin(self) -> tuple[str, Packet, SimTime]:
+        """Serve whichever of two backlogged queues deficit round-robin picks.
+
+        Returns (queue tag, packet, enqueue time).
+        """
+        deficit = self._deficit
+        while True:
+            idx = self._ptr
+            if self._fresh_visit:
+                weight = self.weight_abc if idx == 0 else 1.0 - self.weight_abc
+                deficit[idx] += weight * self.QUANTUM_BYTES
+                self._fresh_visit = False
+            q = self._queues[idx]
+            size = q[0][0].size_bytes
+            if deficit[idx] >= size:
+                deficit[idx] -= size
+                pkt, enq = q.popleft()
+                return _TAGS[idx], pkt, enq
+            self._ptr ^= 1
+            self._fresh_visit = True
 
     def update_weights(self, now: SimTime) -> float:
         """Recompute the ABC queue's capacity share from observed flow rates.
@@ -387,8 +333,8 @@ class AbcRouter:
         self._last_weight_update = now
         if interval > 0:
             self._reallocate(now, interval)
-        self.weight_log.append((now, self.queue.weight_abc))
-        return self.queue.weight_abc
+        self.weight_log.append((now, self.weight_abc))
+        return self.weight_abc
 
     def _reallocate(self, now: SimTime, interval: SimTime) -> None:
         capacity = self.capacity_view.capacity(now)
@@ -459,4 +405,4 @@ class AbcRouter:
             # Normalizing by the allocated total (not raw capacity) keeps
             # the weights summing to 1 when demand leaves the link
             # underloaded; under contention the two denominators agree.
-            self.queue.weight_abc = min(1.0, max(0.0, abc_share / total))
+            self.weight_abc = min(1.0, max(0.0, abc_share / total))

@@ -19,15 +19,14 @@ and ``on_timeout`` in their own class bodies, because perfbench's tracer
 wraps each flavor's entry points through the class ``__dict__``.
 
 ``on_ack`` handles an ACK in one frame: the mark step, the retirement of
-the acknowledged prefix (with the RTT sample) and the cap check after
-sending are written into it, and so is ``rtt_estimate``.  It still
-calls ``transmit``, the one sending loop, which ``start`` and
-``on_timeout`` share; ``_apply_cap``, the clamp that ``on_timeout``
-shares too; and the Cubic window's own ``on_ack``/``on_congestion``,
-which belong to the legacy module.  ``transmit`` reads the window the
-way ``effective_window`` does, in its own frame.  ``rtt_estimate`` and
-``effective_window`` stay as public readings, and the tests hold the
-inline copies to them.
+the acknowledged prefix (with the RTT sample), the Cubic window's RTT
+guard (the smoothed RTT, floored at the base path) and the cap check
+after sending are written into it.  It still calls ``transmit``, the one
+sending loop, which ``start`` and ``on_timeout`` share; ``_apply_cap``,
+the clamp that ``on_timeout`` shares too; and the Cubic window's own
+``on_ack``/``on_congestion``, which belong to the legacy module.
+``transmit`` reads the window the way ``effective_window`` does, in its
+own frame; ``effective_window`` stays as the public reading.
 """
 
 from __future__ import annotations
@@ -163,7 +162,8 @@ class FlowSender:
             return []  # duplicate or stale
         self.last_progress = now
         cubic = self.cubic
-        # rtt_estimate(), from the smoothed RTT just updated.
+        # Cubic's RTT guard: the smoothed RTT just updated, floored at the
+        # base path.
         base = self.base_rtt_us
         cubic.rtt_guard_us = srtt if srtt is not None and srtt > base else base
         if ack.ece or retired_bytes > newly:
@@ -231,11 +231,6 @@ class FlowSender:
         self.next_seq = seq
         self.bytes_sent += sent
         return out
-
-    def rtt_estimate(self) -> SimTime:
-        """Smoothed round trip including queueing, floored at the base path."""
-        srtt = self.srtt_us or 0
-        return srtt if srtt > self.base_rtt_us else self.base_rtt_us
 
     def _apply_cap(self) -> None:
         """Clamp both windows into ``[WINDOW_FLOOR, 2 * max(inflight, 1)]``."""

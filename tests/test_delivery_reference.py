@@ -24,7 +24,6 @@ handlers in the same order and give the same timeline and the same
 census from each engine and its reference.
 """
 
-import hashlib
 from collections import Counter
 from heapq import heappush
 from pathlib import Path
@@ -38,7 +37,7 @@ from accelbrake.core import MTU_BITS
 from accelbrake.engine import (DELACK_TIMEOUT_US, FlowSpec, HopSpec, ShortFlowLoad, Simulation,
                                Topology)
 from accelbrake.links import FixedLink, TraceLink
-from accelbrake.metrics import report
+from accelbrake.metrics import report, timeline_digest
 
 SCENARIO_DIR = Path(__file__).resolve().parent.parent / "scenarios"
 
@@ -141,16 +140,6 @@ class _PerAckEvents(_Recording):
             self._retire_if_finished(runtime)
 
 
-def _timeline_digest(log):
-    h = hashlib.sha256()
-    for r in log.deliveries:
-        hops = ";".join(f"{hop},{enq},{deq}" for hop, enq, deq in r.hops)
-        h.update(f"{r.flow_id},{r.seq},{r.deliver_time},{hops}\n".encode())
-    for d in log.drops:
-        h.update(f"drop,{d.flow_id},{d.seq},{d.hop_id},{d.time}\n".encode())
-    return h.hexdigest()
-
-
 @st.composite
 def _tied_topologies(draw):
     """Topologies whose events often land on the same microsecond.
@@ -194,7 +183,7 @@ def test_inline_delivery_matches_always_push(topo, seed, coalesce, duration_us):
     # The same handlers ran in the same order: an inline delivery takes the
     # place the pushed one would have had.
     assert new.calls == old.calls
-    assert _timeline_digest(log) == _timeline_digest(old_log)
+    assert timeline_digest(log) == timeline_digest(old_log)
     assert report(log) == report(old_log)
     assert new.census() == old.census()
 
@@ -209,7 +198,7 @@ def test_send_bursts_match_per_packet_arrivals(topo, seed, coalesce, duration_us
     # Every arrival, drop and delivery happens in the same order; the
     # census counts the packets of the bursts still in the heap.
     assert new.calls == old.calls
-    assert _timeline_digest(log) == _timeline_digest(old_log)
+    assert timeline_digest(log) == timeline_digest(old_log)
     assert report(log) == report(old_log)
     assert new.census() == old.census()
     assert {fid: rt.live for fid, rt in new.flows.items()} == \
@@ -225,7 +214,7 @@ def test_ack_emissions_match_per_ack_events(topo, seed, coalesce, duration_us):
     log, old_log = new.run(), old.run()
     # Every ACK reaches its sender at the same place in the event order.
     assert new.calls == old.calls
-    assert _timeline_digest(log) == _timeline_digest(old_log)
+    assert timeline_digest(log) == timeline_digest(old_log)
     assert report(log) == report(old_log)
     assert new.census() == old.census()
 

@@ -1,6 +1,5 @@
 """Event-loop integration: determinism, conservation, lifecycle events."""
 
-import hashlib
 import re
 from collections import Counter
 from pathlib import Path
@@ -13,7 +12,7 @@ from hypothesis import strategies as st
 from accelbrake.config import load_scenario
 from accelbrake.engine import FlowSpec, HopSpec, ShortFlowLoad, Simulation, Topology
 from accelbrake.links import FixedLink, StepLink, TraceLink
-from accelbrake.metrics import report
+from accelbrake.metrics import report, timeline_digest
 from accelbrake.router import AbcParams
 from accelbrake.sender import AbcSender
 
@@ -298,8 +297,8 @@ def test_simulation_arguments_follow_scenario_rules(kwargs, message):
         Simulation(topo, **{"duration_us": 500_000, **kwargs})
 
 
-# sha256 over (flow, seq, deliver time, hop stamps) plus the drop list for
-# each shipped scenario run for 2 simulated seconds.  A change to any of
+# metrics.timeline_digest (flow, seq, deliver time, hop stamps, then the
+# drops) of each shipped scenario run for 2 simulated seconds.  A change to any of
 # these means the packet timeline moved.
 GOLDEN_2S = {
     "bottleneck_switch":
@@ -315,16 +314,6 @@ GOLDEN_2S = {
 }
 
 
-def _timeline_digest(log):
-    h = hashlib.sha256()
-    for r in log.deliveries:
-        hops = ";".join(f"{hop},{enq},{deq}" for hop, enq, deq in r.hops)
-        h.update(f"{r.flow_id},{r.seq},{r.deliver_time},{hops}\n".encode())
-    for d in log.drops:
-        h.update(f"drop,{d.flow_id},{d.seq},{d.hop_id},{d.time}\n".encode())
-    return h.hexdigest()
-
-
 def _run_2s(name):
     """A shipped scenario, run for 2 simulated seconds."""
     cfg = load_scenario(str(SCENARIO_DIR / f"{name}.yaml"))
@@ -338,7 +327,7 @@ def _run_2s(name):
 @pytest.mark.parametrize("name", sorted(GOLDEN_2S))
 def test_golden_timeline(name):
     _, log = _run_2s(name)
-    assert _timeline_digest(log) == GOLDEN_2S[name]
+    assert timeline_digest(log) == GOLDEN_2S[name]
 
 
 # Events pushed per delivered packet in 2 simulated seconds, read from the
@@ -390,7 +379,7 @@ def _live_packets(sim):
     """Packets per flow queued at a hop or waiting in the event heap."""
     live = Counter()
     for router in sim.routers:
-        queues = router.queue._by_index if hasattr(router, "queue") else (router._queue,)
+        queues = router._queues if hasattr(router, "_queues") else (router._queue,)
         live.update(pkt.flow_id for q in queues for pkt, _ in q)
     for _, _, handler, args in sim._heap:
         if handler == sim._on_send:  # a send burst: a list of packets
@@ -415,7 +404,7 @@ def test_retiring_finished_shorts_changes_nothing_observable(topo, seed, duratio
     with mock.patch.object(Simulation, "_retire_if_finished", lambda self, runtime: None):
         kept = Simulation(topo, duration_us, seed=seed)
         kept_log = kept.run()
-    assert _timeline_digest(log) == _timeline_digest(kept_log)
+    assert timeline_digest(log) == timeline_digest(kept_log)
     assert report(log) == report(kept_log)
     assert sim.census() == kept.census()
 

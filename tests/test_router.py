@@ -9,7 +9,6 @@ from accelbrake.router import (
     LEGACY_QUEUE,
     AbcParams,
     AbcRouter,
-    DualQueue,
     MarkerState,
     accel_fraction,
     target_rate,
@@ -156,68 +155,74 @@ class TestMarkerState:
 
 # ---------------------------------------------------------------- dual queue
 
+def _legacy(fid="l", seq=0):
+    return _pkt(fid, seq, ecn=EcnCodepoint.NOT_ECT)
+
+
+def _dual(buffer_pkts, weight_abc=1.0):
+    """A router whose queues tests fill directly: flow "a" is ABC, "l" legacy."""
+    return AbcRouter("r", AbcParams(), _FixedCapacity(24e6), buffer_pkts=buffer_pkts,
+                     initial_weight=weight_abc)
+
+
 class TestDualQueue:
     def test_rejects_tiny_buffer(self):
-        with pytest.raises(ValueError):
-            DualQueue(0)
+        with pytest.raises(ValueError, match="buffer capacity"):
+            _dual(0)
 
     def test_even_weights_alternate_service(self):
-        q = DualQueue(capacity_pkts=16)
-        q.weight_abc = 0.5
+        r = _dual(16, weight_abc=0.5)
         for i in range(4):
-            assert q.enqueue(ABC_QUEUE, _pkt("a", i), 0) is None
-            assert q.enqueue(LEGACY_QUEUE, _pkt("l", i, ecn=EcnCodepoint.NOT_ECT), 0) is None
-        order = [q.dequeue(0)[0] for _ in range(8)]
-        assert order == [ABC_QUEUE, LEGACY_QUEUE] * 4
+            assert r.enqueue(_pkt("a", i), 0) is None
+            assert r.enqueue(_legacy("l", i), 0) is None
+        order = [r.on_dequeue(0)[0].flow_id for _ in range(8)]
+        assert order == ["a", "l"] * 4
 
     def test_service_follows_weight(self):
-        q = DualQueue(capacity_pkts=200)
-        q.weight_abc = 0.75
-        served = {ABC_QUEUE: 0, LEGACY_QUEUE: 0}
-        backlog = {ABC_QUEUE: 0, LEGACY_QUEUE: 0}
+        r = _dual(200, weight_abc=0.75)
+        served = {"a": 0, "l": 0}
+        backlog = {"a": 0, "l": 0}
         seq = 0
         for _ in range(64):
             # Keep both queues backlogged so the scheduler never bypasses.
-            for tag in (ABC_QUEUE, LEGACY_QUEUE):
-                while backlog[tag] < 2:
-                    q.enqueue(tag, _pkt(tag, seq), 0)
-                    backlog[tag] += 1
+            for fid, make in (("a", _pkt), ("l", _legacy)):
+                while backlog[fid] < 2:
+                    r.enqueue(make(fid, seq), 0)
+                    backlog[fid] += 1
                     seq += 1
-            tag, _, _ = q.dequeue(0)
-            served[tag] += 1
-            backlog[tag] -= 1
-        assert served[ABC_QUEUE] == pytest.approx(48, abs=1)
+            fid = r.on_dequeue(0)[0].flow_id
+            served[fid] += 1
+            backlog[fid] -= 1
+        assert served["a"] == pytest.approx(48, abs=1)
 
     def test_lone_queue_is_served_regardless_of_weight(self):
-        q = DualQueue(capacity_pkts=8)
-        q.weight_abc = 1.0  # legacy weight is zero
-        q.enqueue(LEGACY_QUEUE, _pkt("l", 0, ecn=EcnCodepoint.NOT_ECT), 0)
-        tag, pkt, _ = q.dequeue(0)
-        assert tag == LEGACY_QUEUE and pkt.flow_id == "l"
+        r = _dual(8, weight_abc=1.0)  # legacy weight is zero
+        r.enqueue(_legacy(), 0)
+        assert r.on_dequeue(0)[0].flow_id == "l"
 
     def test_dequeue_empty_raises(self):
         with pytest.raises(IndexError):
-            DualQueue(4).dequeue(0)
+            _dual(4).on_dequeue(0)
 
     def test_hogging_queue_drops_while_slack_remains(self):
-        q = DualQueue(capacity_pkts=12)
+        r = _dual(12)
         for i in range(8):
-            assert q.enqueue(ABC_QUEUE, _pkt("a", i), 0) is None
+            assert r.enqueue(_pkt("a", i), 0) is None
         # 8 queued, 4 free: the hog is at twice the free space and must
         # shed its own arrivals, but the other queue still gets in.
-        victim = q.enqueue(ABC_QUEUE, _pkt("a", 99), 0)
+        victim = r.enqueue(_pkt("a", 99), 0)
         assert victim is not None and victim.seq == 99
-        assert q.enqueue(LEGACY_QUEUE, _pkt("l", 0, ecn=EcnCodepoint.NOT_ECT), 0) is None
-        assert q.backlog(ABC_QUEUE) == 8
-        assert q.backlog() == 9
+        assert r.enqueue(_legacy(), 0) is None
+        assert len(r._queues[0]) == 8  # the ABC queue
+        assert r.backlog() == 9
 
     def test_full_buffer_drops_everything(self):
-        q = DualQueue(capacity_pkts=4)
+        r = _dual(4)
         for i in range(2):
-            q.enqueue(ABC_QUEUE, _pkt("a", i), 0)
-            q.enqueue(LEGACY_QUEUE, _pkt("l", i, ecn=EcnCodepoint.NOT_ECT), 0)
-        assert q.enqueue(ABC_QUEUE, _pkt("a", 9), 0) is not None
-        assert q.enqueue(LEGACY_QUEUE, _pkt("l", 9, ecn=EcnCodepoint.NOT_ECT), 0) is not None
+            r.enqueue(_pkt("a", i), 0)
+            r.enqueue(_legacy("l", i), 0)
+        assert r.enqueue(_pkt("a", 9), 0) is not None
+        assert r.enqueue(_legacy("l", 9), 0) is not None
 
 
 # ---------------------------------------------------------------- water fill
@@ -291,9 +296,10 @@ class TestAbcRouter:
         for ecn, tag in ((EcnCodepoint.ACCEL, ABC_QUEUE), (EcnCodepoint.BRAKE, ABC_QUEUE),
                          (EcnCodepoint.NOT_ECT, LEGACY_QUEUE),
                          (EcnCodepoint.ECN_SET, LEGACY_QUEUE)):
-            before = r.queue.backlog(tag)
+            queue = dict(zip((ABC_QUEUE, LEGACY_QUEUE), r._queues))[tag]
+            before = len(queue)
             assert r.enqueue(_pkt(ecn=ecn), 0) is None
-            assert r.queue.backlog(tag) == before + 1
+            assert len(queue) == before + 1
 
     def test_rejects_bad_fixed_fraction(self):
         with pytest.raises(ValueError):

@@ -1,92 +1,83 @@
 """The accel/brake router against the composition of its earlier parts.
 
 ``_ReferenceRouter`` keeps the earlier router body: ``enqueue`` classifies
-through a separate step, and ``on_dequeue`` serves through the dual queue's
-deficit round-robin, reads the rate window through ``add`` then ``rate``,
-and marks through the range-checked ``MarkerState.mark``.  Those parts are
-kept here as they were (``_ReferenceDualQueue``, ``_ReferenceRateWindow``,
-``_reference_target_rate``, ``_reference_accel_fraction``,
-``_ReferenceMarker``).  The library router admits packets, serves a lone
-backlogged queue and keeps its rate window in its own frame, so the test
-also runs the reference over the library's ``DualQueue``, whose
-``enqueue`` and ``dequeue`` those inline copies must match.
-``update_weights`` is the library's on both sides;
-it feeds both queues' weights from their own sketches.  The reference
-also keeps the earlier per-queue byte counter ``_epoch_bytes``, which the
-library now reads as the sum of the queue's sketch counters.  Random
-enqueue/dequeue/weight sequences must give the same packets, marks,
-tokens, enqueue stamps, rate-window entries, round-robin state and
-per-queue bytes after every step.
+through a separate step, and ``on_dequeue`` serves through a separate dual
+queue's deficit round-robin, reads the rate window through ``add`` then
+``rate``, and marks through the range-checked ``MarkerState.mark``.  Those
+parts are kept here as they were (``_ReferenceDualQueue``,
+``_ReferenceRateWindow``, ``_reference_target_rate``,
+``_reference_accel_fraction``, ``_ReferenceMarker``).  The reference dual
+queue is the straightforward one: dict deficits, a backlog recounted on
+every call and a busy list built on every dequeue.  The library router
+holds its queues, admits packets, serves a lone backlogged queue and keeps
+its rate window in its own frame.  ``update_weights`` is the library's on
+both sides; it feeds both queues' weights from their own sketches.  The
+reference also keeps the earlier per-queue byte counter ``_epoch_bytes``,
+which the library now reads as the sum of the queue's sketch counters.
+Random enqueue/dequeue/weight sequences, under a drawn round-robin
+quantum, must give the same packets, drops, marks, tokens, enqueue stamps,
+rate-window entries, round-robin state, queue contents and per-queue bytes
+after every step.
 """
 
 from collections import deque
+from typing import Optional
 
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from accelbrake.core import ACCEL, BRAKE, MTU_BYTES, US_PER_S, EcnCodepoint, Packet
 from accelbrake.links import FixedLink, OracleRateView, TraceLink
-from accelbrake.router import ABC_QUEUE, LEGACY_QUEUE, AbcParams, AbcRouter, DualQueue
+from accelbrake.router import ABC_QUEUE, LEGACY_QUEUE, AbcParams, AbcRouter
 
 
 class _ReferenceDualQueue:
     THRESHOLD_RATIO = 2.0
-    QUANTUM_BYTES = MTU_BYTES
 
-    def __init__(self, capacity_pkts):
+    def __init__(self, capacity_pkts, quantum_bytes=MTU_BYTES):
         self.capacity_pkts = capacity_pkts
+        self.quantum_bytes = quantum_bytes
         self.weight_abc = 1.0
         self._tags = (ABC_QUEUE, LEGACY_QUEUE)
-        self._by_index = (deque(), deque())
-        self._queues = dict(zip(self._tags, self._by_index))
-        self._deficit = [0.0, 0.0]
-        self._count = 0
+        self._queues = {t: deque() for t in self._tags}
+        self._deficit = {t: 0.0 for t in self._tags}
         self._ptr = 0
         self._fresh_visit = True
 
-    def backlog(self, tag=None):
-        if tag is not None:
-            return len(self._queues[tag])
-        return self._count
+    def _weight(self, tag):
+        return self.weight_abc if tag == ABC_QUEUE else 1.0 - self.weight_abc
 
-    def enqueue(self, tag, pkt, now):
-        q = self._queues[tag]
-        if len(q) >= self.THRESHOLD_RATIO * (self.capacity_pkts - self._count):
+    def backlog(self):
+        return sum(len(q) for q in self._queues.values())
+
+    def enqueue(self, tag, pkt, now) -> Optional[Packet]:
+        free = self.capacity_pkts - self.backlog()
+        if len(self._queues[tag]) >= self.THRESHOLD_RATIO * free:
             return pkt
-        q.append((pkt, now))
-        self._count += 1
+        self._queues[tag].append((pkt, now))
         return None
 
     def dequeue(self, now):
-        abc, legacy = self._by_index
-        if not abc or not legacy:
-            if abc:
-                idx = 0
-            elif legacy:
-                idx = 1
-            else:
-                raise IndexError("dequeue from an empty dual queue")
-            deficit = self._deficit
-            deficit[0] = deficit[1] = 0.0
-            self._ptr = idx ^ 1
+        busy = [t for t in self._tags if self._queues[t]]
+        if not busy:
+            raise IndexError("dequeue from an empty dual queue")
+        if len(busy) == 1:
+            tag = busy[0]
+            self._deficit = {t: 0.0 for t in self._tags}
+            self._ptr = self._tags.index(tag) ^ 1
             self._fresh_visit = True
-            self._count -= 1
-            pkt, enq = self._by_index[idx].popleft()
-            return self._tags[idx], pkt, enq
-        deficit = self._deficit
+            pkt, enq = self._queues[tag].popleft()
+            return tag, pkt, enq
         while True:
-            idx = self._ptr
+            tag = self._tags[self._ptr]
             if self._fresh_visit:
-                weight = self.weight_abc if idx == 0 else 1.0 - self.weight_abc
-                deficit[idx] += weight * self.QUANTUM_BYTES
+                self._deficit[tag] += self._weight(tag) * self.quantum_bytes
                 self._fresh_visit = False
-            q = self._by_index[idx]
-            size = q[0][0].size_bytes
-            if deficit[idx] >= size:
-                deficit[idx] -= size
-                self._count -= 1
-                pkt, enq = q.popleft()
-                return self._tags[idx], pkt, enq
+            head = self._queues[tag][0][0]
+            if self._deficit[tag] >= head.size_bytes:
+                self._deficit[tag] -= head.size_bytes
+                pkt, enq = self._queues[tag].popleft()
+                return tag, pkt, enq
             self._ptr ^= 1
             self._fresh_visit = True
 
@@ -141,20 +132,23 @@ class _ReferenceMarker:
 
 
 class _ReferenceRouter(AbcRouter):
-    def __init__(self, *args, queue_cls=_ReferenceDualQueue, **kwargs):
+    def __init__(self, *args, quantum_bytes=MTU_BYTES, **kwargs):
         super().__init__(*args, **kwargs)
-        queue = queue_cls(self.queue.capacity_pkts)
-        queue.weight_abc = self.queue.weight_abc
-        self.queue = queue
+        self.queue = _ReferenceDualQueue(self.buffer_pkts, quantum_bytes)
         self.marker = _ReferenceMarker(self.params.token_limit)
         self.rate_window = _ReferenceRateWindow(self.params.rate_window_us)
         self._epoch_bytes = {ABC_QUEUE: 0, LEGACY_QUEUE: 0}
+
+    def backlog(self):
+        return self.queue.backlog()
 
     def enqueue(self, pkt, now):
         tag = ABC_QUEUE if pkt.ecn.is_abc else LEGACY_QUEUE
         return self.queue.enqueue(tag, pkt, now)
 
     def on_dequeue(self, now):
+        # The router's weight, which the library's update_weights sets.
+        self.queue.weight_abc = self.weight_abc
         tag, pkt, enqueued_at = self.queue.dequeue(now)
         self._sketches[tag].record(pkt.flow_id, pkt.size_bytes)
         self._epoch_bytes[tag] += pkt.size_bytes
@@ -165,7 +159,7 @@ class _ReferenceRouter(AbcRouter):
                 fraction = self.fixed_fraction
                 target = current = 0.0
             else:
-                mu = self.capacity_view.capacity(now) * self.queue.weight_abc
+                mu = self.capacity_view.capacity(now) * self.weight_abc
                 target = _reference_target_rate(self.params, mu, now - enqueued_at)
                 fraction = _reference_accel_fraction(target, current)
             self.marker.mark(pkt, fraction)
@@ -210,7 +204,7 @@ _router_ops = st.lists(st.tuples(st.integers(0, 8).map(lambda k: 500 * k), st.on
 
 
 @settings(max_examples=300, deadline=None)
-@given(queue_cls=st.sampled_from([_ReferenceDualQueue, DualQueue]),
+@given(quantum=st.sampled_from([500, 1500, 3000]),
        buffer_pkts=st.integers(1, 16), log_rows=st.booleans(),
        fixed_fraction=st.one_of(st.none(), st.floats(0.0, 1.0)),
        view=st.sampled_from(["fixed", "trace"]),
@@ -224,12 +218,12 @@ _router_ops = st.lists(st.tuples(st.integers(0, 8).map(lambda k: 500 * k), st.on
        ops=_router_ops)
 # A dequeue exactly one rate window after the first: that entry leaves the
 # window then.
-@example(queue_cls=DualQueue, buffer_pkts=4, log_rows=True, fixed_fraction=None, view="fixed",
+@example(quantum=1500, buffer_pkts=4, log_rows=True, fixed_fraction=None, view="fixed",
          rate_mbps=12.0, params=AbcParams(rate_window_us=1_000),
          ops=[(0, ("enqueue", "a", EcnCodepoint.ACCEL, 1500)),
               (0, ("enqueue", "a", EcnCodepoint.ACCEL, 1500)),
               (0, ("dequeue",)), (1_000, ("dequeue",))])
-def test_router_matches_reference(queue_cls, buffer_pkts, log_rows, fixed_fraction, view,
+def test_router_matches_reference(quantum, buffer_pkts, log_rows, fixed_fraction, view,
                                   rate_mbps, params, ops):
     def capacity_view():
         if view == "trace":
@@ -241,9 +235,10 @@ def test_router_matches_reference(queue_cls, buffer_pkts, log_rows, fixed_fracti
 
     new = AbcRouter("r", params, capacity_view(), buffer_pkts=buffer_pkts,
                     fixed_fraction=fixed_fraction, log_rows=log_rows)
+    new.QUANTUM_BYTES = quantum
     ref = _ReferenceRouter("r", params, capacity_view(), buffer_pkts=buffer_pkts,
                            fixed_fraction=fixed_fraction, log_rows=log_rows,
-                           queue_cls=queue_cls)
+                           quantum_bytes=quantum)
     now = 0
     for seq, (step, op) in enumerate(ops):
         now += step
@@ -252,14 +247,14 @@ def test_router_matches_reference(queue_cls, buffer_pkts, log_rows, fixed_fracti
             a, b = Packet(flow, seq, size, ecn, now), Packet(flow, seq, size, ecn, now)
             assert (new.enqueue(a, now) is a) == (ref.enqueue(b, now) is b)
         elif op[0] == "dequeue":
-            assert new.backlog() == ref.queue.backlog()
+            assert new.backlog() == ref.backlog()
             if new.backlog():
                 (got, got_enq), (want, want_enq) = new.on_dequeue(now), ref.on_dequeue(now)
                 assert (got.flow_id, got.seq, got.size_bytes, got.ecn) == \
                     (want.flow_id, want.seq, want.size_bytes, want.ecn)
                 assert got_enq == want_enq
         elif op[0] == "weight":
-            new.queue.weight_abc = ref.queue.weight_abc = op[1]
+            new.weight_abc = ref.weight_abc = op[1]
         else:
             assert new.update_weights(now) == ref.update_weights(now)
         assert new.marker.token == ref.marker.token
@@ -267,13 +262,13 @@ def test_router_matches_reference(queue_cls, buffer_pkts, log_rows, fixed_fracti
         assert new.rows == ref.rows
         assert list(new._rate_events) == list(ref.rate_window._events)
         assert new._rate_bytes == ref.rate_window._bytes
-        assert new.weight_abc == ref.queue.weight_abc
+        assert new.weight_abc == ref.weight_abc
         # Where the round-robin stands: the lone-queue path resets it.
-        assert (new.queue._deficit, new.queue._ptr, new.queue._fresh_visit) == \
-            (ref.queue._deficit, ref.queue._ptr, ref.queue._fresh_visit)
-        for tag in (ABC_QUEUE, LEGACY_QUEUE):
+        deficit = ref.queue._deficit
+        assert (new._deficit, new._ptr, new._fresh_visit) == \
+            ([deficit[ABC_QUEUE], deficit[LEGACY_QUEUE]], ref.queue._ptr, ref.queue._fresh_visit)
+        for tag, queue in zip((ABC_QUEUE, LEGACY_QUEUE), new._queues):
             # What the next update_weights reads as this queue's bytes.
             assert sum(new._sketches[tag].counts().values()) == ref._epoch_bytes[tag]
-            assert new.queue.backlog(tag) == ref.queue.backlog(tag)
-            assert [(p.flow_id, p.seq, p.ecn, enq) for p, enq in new.queue._queues[tag]] == \
+            assert [(p.flow_id, p.seq, p.ecn, enq) for p, enq in queue] == \
                 [(p.flow_id, p.seq, p.ecn, enq) for p, enq in ref.queue._queues[tag]]

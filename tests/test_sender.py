@@ -168,15 +168,17 @@ def test_smoothed_rtt_updates_by_eighths():
     assert s.srtt_us == 12_000
     s.on_ack(_ack(1, 1500), 20_000)
     assert s.srtt_us == (7 * 12_000 + 20_000) // 8
-    assert s.rtt_estimate() == s.srtt_us
+    # Above the base RTT, Cubic's RTT guard is the smoothed RTT.
+    assert s.cubic.rtt_guard_us == s.srtt_us
 
 
-def test_rtt_estimate_floors_at_base_path():
+def test_rtt_guard_floors_at_base_path():
     s = AbcSender("f", initial_window=4, base_rtt_us=10_000)
-    assert s.rtt_estimate() == 10_000
+    assert s.cubic.rtt_guard_us == 10_000
     s.start(0)
     s.on_ack(_ack(0, 1500), 2_000)  # impossibly fast sample
-    assert s.rtt_estimate() == 10_000
+    assert s.srtt_us == 2_000
+    assert s.cubic.rtt_guard_us == 10_000
 
 
 # ------------------------------------------------------------------ timeouts

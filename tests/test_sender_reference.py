@@ -9,7 +9,8 @@ timeout and its own window clamp.  ``transmit`` is inherited
 that the library now derives.  The library's ``on_ack`` retires the
 acknowledged prefix and checks the cap in its own frame;
 ``_CountingSender`` keeps those steps as the separate ``_retire`` and
-``_check_cap`` they were.  Random ACK streams must leave both sides in
+``_check_cap`` they were, and the RTT guard as the ``rtt_estimate``
+reading the library no longer has.  Random ACK streams must leave both sides in
 the same state after every step.
 """
 
@@ -61,6 +62,11 @@ class _CountingSender(FlowSender):
         limit = 2.0 * max(self.inflight, 1)
         if self.effective_window() > limit + 1e-9:
             self.cap_violations += 1
+
+    def rtt_estimate(self):
+        """Smoothed round trip including queueing, floored at the base path."""
+        srtt = self.srtt_us or 0
+        return srtt if srtt > self.base_rtt_us else self.base_rtt_us
 
 
 def _base_timeout(sender, now):

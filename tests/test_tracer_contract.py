@@ -5,9 +5,10 @@ The tracer wraps each entry point through ``owner.__dict__[attr]`` after a
 or module it names, and the engine must reach it by attribute lookup when an
 event runs.  A traced run must also simulate exactly what an untraced run
 does.  The tracer module is loaded from its file and left unmodified.
+perfbench's worker keeps its own copy of the timeline digest, which must
+hash the same bytes as ``metrics.timeline_digest``.
 """
 
-import hashlib
 import importlib.util
 from pathlib import Path
 
@@ -15,9 +16,11 @@ import pytest
 
 from accelbrake.config import load_scenario
 from accelbrake.engine import Simulation
+from accelbrake.metrics import DropRecord, timeline_digest
 
 ROOT = Path(__file__).resolve().parent.parent
-TRACER_PATH = ROOT / "perfbench" / "tracer.py"
+PERFBENCH = ROOT / "perfbench"
+TRACER_PATH = PERFBENCH / "tracer.py"
 
 
 @pytest.fixture(scope="module")
@@ -33,16 +36,6 @@ def test_entry_points_are_defined_on_their_owners(tracer_module):
                for owner, attr, _, _ in tracer_module.entry_points()
                if attr not in vars(owner)]
     assert not missing
-
-
-def _digest(log):
-    h = hashlib.sha256()
-    for r in log.deliveries:
-        hops = ";".join(f"{hop},{enq},{deq}" for hop, enq, deq in r.hops)
-        h.update(f"{r.flow_id},{r.seq},{r.deliver_time},{hops}\n".encode())
-    for d in log.drops:
-        h.update(f"drop,{d.flow_id},{d.seq},{d.hop_id},{d.time}\n".encode())
-    return h.hexdigest()
 
 
 def _run(tracer=None):
@@ -63,9 +56,25 @@ def _run(tracer=None):
 def test_traced_run_matches_untraced(tracer_module):
     tracer = tracer_module.Tracer(tracer_module.entry_points())
     traced = _run(tracer)
-    assert _digest(traced) == _digest(_run())
+    assert timeline_digest(traced) == timeline_digest(_run())
     calls = {name: s["calls"] for name, s in tracer.summary().items()}
     for name in ("engine.run", "router.enqueue", "router.on_dequeue", "topk.record",
                  "links.next_delivery", "links.capacity", "sender.on_ack",
                  "sender.transmit", "receiver.on_packet", "metrics.record"):
         assert calls[name] > 0, name
+
+
+def test_library_digest_matches_perfbench(monkeypatch):
+    # perfbench keeps its own copy of the digest; both must hash the same
+    # bytes, the ones perfbench/golden.json pins.  The worker imports its
+    # sibling modules by bare name.
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    spec = importlib.util.spec_from_file_location("_perfbench_worker", PERFBENCH / "worker.py")
+    worker = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(worker)
+    log = _run()
+    assert len(log.seqs) > 1_000
+    assert timeline_digest(log) == worker.timeline_digest(log)
+    # This run drops nothing, so a drop is added to hash a drop line too.
+    log.record_drop(DropRecord("f", 7, "first", 123))
+    assert timeline_digest(log) == worker.timeline_digest(log)
