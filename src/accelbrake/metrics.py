@@ -4,8 +4,9 @@ The simulator appends one row per delivered packet (with per-hop
 enqueue/dequeue stamps), one record per drop, and per-hop byte totals.
 The functions here turn those into link utilization, queuing-delay
 percentiles, per-flow throughput and Jain's fairness index, gather a run's
-figures in ``report``, digest its packet timeline in ``timeline_digest``,
-and write the CSV/summary artifacts for a run.
+figures in ``report``, digest its packet timeline in ``timeline_digest``
+(``first_divergence`` finds where two timelines part), and write the
+CSV/summary artifacts for a run.
 
 Deliveries are stored by column, so a row costs a few machine words
 instead of a record, a tuple per hop and an int object per stamp:
@@ -41,6 +42,7 @@ from collections import Counter
 from collections.abc import Mapping, Sequence
 from dataclasses import dataclass, field
 from functools import partial
+from itertools import zip_longest
 from typing import Iterable, Optional
 
 from .core import SimTime, US_PER_S
@@ -270,21 +272,44 @@ def report(log: MetricsLog) -> dict:
     }
 
 
+def _timeline_lines(log: MetricsLog):
+    """The packet timeline, one line per delivery in delivery order, then per drop.
+
+    A delivery reads ``flow,seq,deliver time,`` then ``hop,enqueue,dequeue``
+    per hop joined by ``;``; a drop reads ``drop,flow,seq,hop,time``.
+    """
+    for r in log.deliveries:
+        hops = ";".join(f"{hop},{enq},{deq}" for hop, enq, deq in r.hops)
+        yield f"{r.flow_id},{r.seq},{r.deliver_time},{hops}"
+    for d in log.drops:
+        yield f"drop,{d.flow_id},{d.seq},{d.hop_id},{d.time}"
+
+
 def timeline_digest(log: MetricsLog) -> str:
     """sha256 of the packet timeline; equal digests mean equal timelines.
 
-    One line per delivery in delivery order, ``flow,seq,deliver time,``
-    then ``hop,enqueue,dequeue`` per hop joined by ``;``, and then one
-    ``drop,flow,seq,hop,time`` line per drop.  Compare two runs by their
-    digests; the golden digests in the tests pin these bytes.
+    It hashes each line of ``_timeline_lines`` followed by a newline.
+    Compare two runs by their digests; the golden digests in the tests pin
+    these bytes.  ``first_divergence`` says where two timelines part.
     """
     h = hashlib.sha256()
-    for r in log.deliveries:
-        hops = ";".join(f"{hop},{enq},{deq}" for hop, enq, deq in r.hops)
-        h.update(f"{r.flow_id},{r.seq},{r.deliver_time},{hops}\n".encode())
-    for d in log.drops:
-        h.update(f"drop,{d.flow_id},{d.seq},{d.hop_id},{d.time}\n".encode())
+    for line in _timeline_lines(log):
+        h.update(f"{line}\n".encode())
     return h.hexdigest()
+
+
+def first_divergence(log_a: MetricsLog, log_b: MetricsLog):
+    """Where two packet timelines part: None if they are equal.
+
+    Otherwise ``(index, line_a, line_b)``: the index of the first line
+    that differs and each side's line there, None for a side that ran out
+    of lines.  The lines are the ones ``timeline_digest`` hashes.
+    """
+    pairs = zip_longest(_timeline_lines(log_a), _timeline_lines(log_b))
+    for i, (a, b) in enumerate(pairs):
+        if a != b:
+            return i, a, b
+    return None
 
 
 # ---------------------------------------------------------------------------

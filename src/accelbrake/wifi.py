@@ -91,16 +91,30 @@ class AmpduAckEvent:
     user: int = 0
 
 
+def _check_positive(event: AmpduAckEvent) -> None:
+    """Reject a gap, PHY rate or frame size that is not a positive number.
+
+    NaN fails too.  With all three positive and ``1 <= b <= M``, a full
+    batch's airtime ``T_IA + (M-b)*S/R`` is positive as well.
+    """
+    if not event.inter_ack_us > 0:
+        # float(): a gap recomputed from integer times may be an int.
+        raise ValueError(f"inter-ACK time must be positive, got {float(event.inter_ack_us)}")
+    if not event.phy_rate_bps > 0:
+        raise ValueError(f"PHY rate must be positive, got {event.phy_rate_bps}")
+    if not event.frame_bits > 0:
+        raise ValueError(f"frame size must be positive, got {event.frame_bits}")
+
+
 def instantaneous_rate(event: AmpduAckEvent) -> float:
     """Throughput of this batch alone: b*S / T_IA, in bits/s."""
-    if event.inter_ack_us <= 0:
-        raise ValueError("inter-ACK time must be positive")
+    _check_positive(event)
     return event.batch_frames * event.frame_bits * US_PER_S / event.inter_ack_us
+
 
 def backlogged_projection(event: AmpduAckEvent) -> float:
     """Rate a full batch would have achieved: M*S / (T_IA + (M-b)*S/R)."""
-    if event.inter_ack_us <= 0:
-        raise ValueError("inter-ACK time must be positive")
+    _check_positive(event)
     if not 1 <= event.batch_frames <= event.max_batch:
         raise ValueError(
             f"batch of {event.batch_frames} outside [1, {event.max_batch}]")
@@ -125,7 +139,8 @@ def _block_rates(block: list[AmpduAckEvent], gaps: np.ndarray):
 
     The arithmetic is ``backlogged_projection``'s and
     ``instantaneous_rate``'s, operation for operation.  Also returns the
-    index of the first event either function rejects, or None.
+    index of the first event either function rejects, or None: the mask
+    is their checks, so every event it passes has a positive airtime.
     """
     b = np.array([ev.batch_frames for ev in block])
     s = np.array([ev.frame_bits for ev in block])
@@ -135,7 +150,7 @@ def _block_rates(block: list[AmpduAckEvent], gaps: np.ndarray):
         full_us = gaps + (m - b) * s * US_PER_S / r
         projection = m * s * US_PER_S / full_us
         rate = b * s * US_PER_S / gaps
-    bad = np.flatnonzero((gaps <= 0) | ~((1 <= b) & (b <= m)) | (r == 0) | (full_us == 0))
+    bad = np.flatnonzero(~(gaps > 0) | ~(r > 0) | ~(s > 0) | ~((1 <= b) & (b <= m)))
     return projection, rate, (int(bad[0]) if bad.size else None)
 
 
@@ -311,7 +326,7 @@ class LinkProfile:
         if self.overhead is None:
             self.overhead = OverheadModel()
         self.overhead.validate()
-        if self.phy_rate_bps <= 0 or self.max_batch < 1 or self.frame_bits <= 0:
+        if not (self.phy_rate_bps > 0 and self.max_batch >= 1 and self.frame_bits > 0):
             raise ValueError("profile must have positive rate, batch and frame size")
 
     def true_capacity(self, phy_rate_bps: Optional[float] = None) -> float:
@@ -347,6 +362,8 @@ def generate_mac_trace(profile: LinkProfile, offered_load_bps: float,
     if any(a > b for a, b in zip(starts, starts[1:])):
         raise ValueError("rate schedule must be in order of start time")
     for r in rates:
+        if not r > 0:
+            raise ValueError(f"rate schedule rates must be positive, got {r}")
         if offered_load_bps > 2.0 * profile.true_capacity(r):
             raise ValueError("offered load exceeds twice the link capacity")
 

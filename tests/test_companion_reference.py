@@ -471,6 +471,9 @@ def test_one_event_user_under_per_user():
     ({"batch_frames": 0}, True, True),
     ({"batch_frames": 17}, True, True),
     ({"phy_rate_bps": 0.0}, True, True),
+    ({"phy_rate_bps": -24e6}, True, True),
+    ({"phy_rate_bps": math.nan}, True, True),
+    ({"inter_ack_us": math.nan}, True, False),
     # Per user the gaps are recomputed from the times.
     ({"inter_ack_us": 0.0}, True, False),
     ({"inter_ack_us": -2.5}, True, False),

@@ -550,6 +550,26 @@ def test_cli_wifi_errors(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("rate, gap, flags, message", [
+    ("0", "3000.0", [], "PHY rate must be positive, got 0.0"),
+    ("0", "3000.0", ["--per-user"], "PHY rate must be positive, got 0.0"),
+    ("-24000000", "3000.0", [], "PHY rate must be positive, got -24000000.0"),
+    ("nan", "3000.0", [], "PHY rate must be positive, got nan"),
+    ("24000000", "nan", [], "inter-ACK time must be positive, got nan"),
+])
+def test_cli_wifi_rejects_malformed_trace_rows(tmp_path, capsys, rate, gap, flags, message):
+    # Once a zero rate ended in a ZeroDivisionError traceback, and a NaN or
+    # negative one printed a NaN or negative estimate.
+    trace = tmp_path / "trace.csv"
+    trace.write_text("time_us,b,S_bits,R_bps,M,T_IA_us\n"
+                     "3000,4,12000,24000000,8,3000.0\n"
+                     f"6000,4,12000,{rate},8,{gap}\n")
+    assert main(["wifi-estimate", "--trace", str(trace), *flags]) == 2
+    captured = capsys.readouterr()
+    assert f"error: {message}" in captured.err
+    assert "estimate" not in captured.out
+
+
 @pytest.mark.parametrize("args, message", [
     (["--window-ms", "0"], "filter window must be positive"),
     (["--cap-factor", "-1"], "cap factor must be positive"),

@@ -2,6 +2,7 @@
 
 import re
 from collections import Counter
+from heapq import heappush
 from pathlib import Path
 from unittest import mock
 
@@ -11,10 +12,11 @@ from hypothesis import strategies as st
 
 from accelbrake.config import load_scenario
 from accelbrake.engine import FlowSpec, HopSpec, ShortFlowLoad, Simulation, Topology
-from accelbrake.links import FixedLink, StepLink, TraceLink
-from accelbrake.metrics import report, timeline_digest
+from accelbrake.links import FixedLink
+from accelbrake.metrics import first_divergence, report, timeline_digest
 from accelbrake.router import AbcParams
 from accelbrake.sender import AbcSender
+from topologies import random_topologies, retirement_topologies
 
 SCENARIO_DIR = Path(__file__).resolve().parent.parent / "scenarios"
 
@@ -206,42 +208,8 @@ def test_zero_short_load_counts_as_no_flow():
     Topology([hop], [], ShortFlowLoad(1e6)).validate()
 
 
-@st.composite
-def _random_links(draw):
-    kind = draw(st.sampled_from(["fixed", "step", "trace"]))
-    if kind == "fixed":
-        return FixedLink(draw(st.integers(1, 48)) * 1e6)
-    if kind == "step":
-        starts = sorted(draw(st.sets(st.integers(1, 999_999), max_size=3)))
-        # 1e15 Mbit/s serializes an MTU in far under a microsecond.
-        rates = draw(st.lists(st.sampled_from([0, 0.5, 6, 24, 1e15]), min_size=len(starts) + 1,
-                              max_size=len(starts) + 1))
-        return StepLink([(t, r * 1e6) for t, r in zip([0] + starts, rates)])
-    period = draw(st.integers(1, 30))
-    return TraceLink(sorted(draw(st.sets(st.integers(1, period))) | {period}))
-
-
-@st.composite
-def _random_topologies(draw):
-    delays = st.integers(0, 20_000)
-    hops = [HopSpec(f"h{i}", draw(_random_links()), kind=draw(st.sampled_from(["abc", "droptail"])),
-                    buffer_pkts=draw(st.integers(1, 20)), delay_to_next_us=draw(delays))
-            for i in range(draw(st.integers(1, 3)))]
-    flows = [FlowSpec(f"f{j}", draw(st.sampled_from(["abc", "cubic"])),
-                      start_us=draw(st.integers(0, 200_000)),
-                      fwd_delay_us=draw(delays), rev_delay_us=draw(delays))
-             for j in range(draw(st.integers(1, 3)))]
-    # From 1,000 B, the smallest transfer a scenario file can ask for
-    # (flow_kbytes >= 1): a few bytes per flow at 4 Mbit/s means half a
-    # million flows per simulated second.  The test below keeps one sub-kB
-    # case, bounded in time.
-    shorts = draw(st.none() | st.builds(ShortFlowLoad, st.sampled_from([1e6, 4e6]),
-                                        st.integers(1_000, 30_000), delays, delays))
-    return Topology(hops, flows, shorts)
-
-
 @settings(max_examples=25, deadline=None)
-@given(topo=_random_topologies(), seed=st.integers(0, 3))
+@given(topo=random_topologies(), seed=st.integers(0, 3))
 def test_random_topologies_dequeue_once_per_instant_and_conserve_packets(topo, seed):
     # A hop serves at most one packet per microsecond: every wake-up is
     # strictly later than the dequeue before it.
@@ -330,6 +298,37 @@ def test_golden_timeline(name):
     assert timeline_digest(log) == GOLDEN_2S[name]
 
 
+def _count_pushes(handler_name):
+    """Run serial_bottlenecks for 2 s; returns the log and the events it
+    pushed for the named handler."""
+    cfg = load_scenario(str(SCENARIO_DIR / "serial_bottlenecks.yaml"))
+    sim = Simulation(cfg.topology, 2_000_000, seed=cfg.seed,
+                     receiver_coalesce=cfg.receiver_coalesce)
+    pushed = []
+
+    def counting_push(heap, item):
+        if item[2] == getattr(sim, handler_name):
+            pushed.append(item)
+        heappush(heap, item)
+
+    with mock.patch("accelbrake.engine.heappush", counting_push):
+        log = sim.run()
+    return log, pushed
+
+
+def test_serial_bottlenecks_emit_two_ack_emissions():
+    """A mark change flushes the old run: some emissions carry two ACKs."""
+    _, pushed = _count_pushes("_on_ack")
+    sizes = Counter(len(item[3][1]) for item in pushed)
+    assert set(sizes) == {1, 2} and sizes[2] > 100
+
+
+def test_serial_bottlenecks_take_both_delivery_branches():
+    """Most deliveries run inline; one due at a busy instant is pushed."""
+    log, pushed = _count_pushes("_on_deliver")
+    assert 0 < len(pushed) < len(log.seqs) / 10
+
+
 # Events pushed per delivered packet in 2 simulated seconds, read from the
 # engine's event counter; the count is deterministic.  One event per send
 # burst and one per ACK emission give 2.549, 2.535 and 4.699 (single_trace,
@@ -344,35 +343,6 @@ EVENTS_PER_DELIVERY_2S = {"single_trace": 2.55, "coexist_shorts": 2.54,
 def test_events_per_delivery(name):
     sim, log = _run_2s(name)
     assert next(sim._counter) / len(log.seqs) <= EVENTS_PER_DELIVERY_2S[name]
-
-
-@st.composite
-def _retirement_topologies(draw):
-    """Long abc/cubic flows plus Poisson shorts through one or two small hops.
-
-    Buffers go down to one packet, so shorts lose packets and time out.
-    The two-hop layout stamps ECN at a droptail hop in front of an abc
-    hop, whose other DRR queue then carries the stamped packets.
-    """
-    delays = st.integers(0, 20_000)
-    links = st.integers(1, 8).map(lambda mbps: FixedLink(mbps * 1e6))
-    buffers = st.integers(1, 30)
-    layout = draw(st.sampled_from(["abc", "droptail", "ecn_then_abc"]))
-    if layout == "ecn_then_abc":
-        hops = [HopSpec("h0", draw(links), kind="droptail", buffer_pkts=draw(buffers),
-                        ecn_threshold_pkts=draw(st.integers(1, 5)),
-                        delay_to_next_us=draw(delays)),
-                HopSpec("h1", draw(links), buffer_pkts=draw(buffers))]
-    else:
-        hops = [HopSpec("h0", draw(links), kind=layout, buffer_pkts=draw(buffers))]
-    flows = [FlowSpec(f"f{j}", draw(st.sampled_from(["abc", "cubic"])),
-                      start_us=draw(st.integers(0, 200_000)),
-                      fwd_delay_us=draw(delays), rev_delay_us=draw(delays))
-             for j in range(draw(st.integers(0, 3)))]
-    shorts = ShortFlowLoad(draw(st.sampled_from([2e6, 6e6])), draw(st.integers(1_000, 30_000)),
-                           draw(delays), draw(delays),
-                           initial_window=draw(st.sampled_from([1.0, 4.0, 10.0])))
-    return Topology(hops, flows, shorts)
 
 
 def _live_packets(sim):
@@ -390,7 +360,7 @@ def _live_packets(sim):
 
 
 @settings(max_examples=100, deadline=None)
-@given(topo=_retirement_topologies(), seed=st.integers(0, 3),
+@given(topo=retirement_topologies(), seed=st.integers(0, 3),
        duration_us=st.integers(200_000, 2_000_000))
 # An overloaded second hop drops the last live packet of shorts whose RTO
 # has already fired, so they are retired on the drop.
@@ -404,7 +374,7 @@ def test_retiring_finished_shorts_changes_nothing_observable(topo, seed, duratio
     with mock.patch.object(Simulation, "_retire_if_finished", lambda self, runtime: None):
         kept = Simulation(topo, duration_us, seed=seed)
         kept_log = kept.run()
-    assert timeline_digest(log) == timeline_digest(kept_log)
+    assert timeline_digest(log) == timeline_digest(kept_log), first_divergence(log, kept_log)
     assert report(log) == report(kept_log)
     assert sim.census() == kept.census()
 

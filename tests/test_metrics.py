@@ -9,12 +9,14 @@ from accelbrake.metrics import (
     HopStats,
     MetricsLog,
     delay_percentile,
+    first_divergence,
     flow_throughputs,
     hop_delays_us,
     jain_index,
     nearest_rank,
     report,
     steady_window,
+    timeline_digest,
     utilization,
     write_outputs,
 )
@@ -160,6 +162,32 @@ def test_report_counts_drops_per_hop():
     rep = report(log)
     assert {hop_id: hop["drops"] for hop_id, hop in rep["hops"].items()} == {"h": 2, "idle": 0}
     assert rep["dropped_packets"] == len(log.drops) == 3
+
+
+def _timeline(last_dequeue=450, drops=()):
+    log = _two_hop_log()
+    _deliver(log, "f", 0, 900, [(100, 200), (300, 400)])
+    _deliver(log, "g", 7, 950, [(150, 250), (350, last_dequeue)])
+    for drop in drops:
+        log.record_drop(DropRecord(*drop))
+    return log
+
+
+def test_first_divergence_names_the_first_differing_timeline_line():
+    base = _timeline(drops=[("f", 1, "a", 120)])
+    assert first_divergence(base, _timeline(drops=[("f", 1, "a", 120)])) is None
+    # A changed stamp: the second delivery left hop b one microsecond later.
+    moved = _timeline(last_dequeue=451, drops=[("f", 1, "a", 120)])
+    assert first_divergence(base, moved) == (1, "g,7,950,a,150,250;b,350,450",
+                                             "g,7,950,a,150,250;b,350,451")
+    # An extra drop, and logs of unequal length: None for the side that
+    # ran out of lines.
+    extra = _timeline(drops=[("f", 1, "a", 120), ("g", 9, "b", 700)])
+    assert first_divergence(base, extra) == (3, None, "drop,g,9,b,700")
+    assert first_divergence(extra, _timeline()) == (2, "drop,f,1,a,120", None)
+    # The digest hashes the same lines.
+    assert timeline_digest(base) != timeline_digest(extra)
+    assert timeline_digest(base) == timeline_digest(_timeline(drops=[("f", 1, "a", 120)]))
 
 
 def test_write_outputs_layout(tmp_path):

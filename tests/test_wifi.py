@@ -1,6 +1,7 @@
 """Wireless capacity estimation from block-ACK streams."""
 
 import csv
+import math
 import random
 from pathlib import Path
 
@@ -54,6 +55,14 @@ def test_projection_validates_batch_size():
         backlogged_projection(_event(b=0))
     with pytest.raises(ValueError):
         backlogged_projection(_event(b=9))  # exceeds the max batch of 8
+
+
+@pytest.mark.parametrize("bad", [{"r": 0.0}, {"r": -24e6}, {"r": math.nan}, {"gap": math.nan},
+                                 {"s": 0}, {"s": -12_000}])
+def test_rates_need_a_positive_gap_phy_rate_and_frame_size(bad):
+    for rate in (instantaneous_rate, backlogged_projection):
+        with pytest.raises(ValueError, match="must be positive"):
+            rate(_event(**bad))
 
 
 # ------------------------------------------------------------------- filter
@@ -181,8 +190,9 @@ def test_profile_capacity_accounts_for_overhead():
 
 
 def test_profile_validation():
-    with pytest.raises(ValueError):
-        LinkProfile(phy_rate_bps=0)
+    for rate in (0, math.nan):
+        with pytest.raises(ValueError):
+            LinkProfile(phy_rate_bps=rate)
     with pytest.raises(ValueError):
         LinkProfile(max_batch=0)
 
@@ -199,6 +209,9 @@ def test_generator_input_validation():
         generate_mac_trace(p, 1e6, 1.0, rate_schedule=[(0.5, 24e6)])
     with pytest.raises(ValueError, match="in order of start time"):
         generate_mac_trace(p, 1e6, 1.0, rate_schedule=[(0.0, 24e6), (0.6, 12e6), (0.3, 24e6)])
+    for rate in (0.0, -12e6):
+        with pytest.raises(ValueError, match="rate schedule rates must be positive"):
+            generate_mac_trace(p, 1e6, 1.0, rate_schedule=[(0.0, 24e6), (0.5, rate)])
 
 
 def test_overloaded_link_fills_batches():
