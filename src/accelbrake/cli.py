@@ -261,6 +261,10 @@ def _cmd_wifi(args) -> int:
         except ValueError as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 2
+        if not events:
+            print(f"error: no acknowledgment within {args.duration_s:g} s; "
+                  "lengthen --duration-s", file=sys.stderr)
+            return 2
         truth = profile.true_capacity()
         print(f"synthesized {len(events)} acknowledgments, "
               f"true backlogged rate {truth / 1e6:.3f} Mbit/s")
@@ -281,6 +285,10 @@ def _cmd_wifi(args) -> int:
             return 2
 
     def print_estimate(points, label=""):
+        if not points:
+            # Per user, a station's first acknowledgment only starts its clock.
+            print(f"{label}no estimate (fewer than two acknowledgments)")
+            return
         tail = points[len(points) // 3:] or points
         mean = sum(p.capped_bps for p in tail) / len(tail)
         capped = sum(1 for p in tail if p.capped_bps < p.raw_bps) / len(tail)

@@ -47,9 +47,18 @@ to a loop over the samples, oldest first.  It takes the stream
    ``_TABLE_SPAN`` microseconds.  Other ages (float times, times out of
    order, longer windows) are worked out per sample.
 
-Memory: the block's arrays, the samples of the last window carried into
-the next block, and the table.  That is O(block + window) whatever the
-stream's length; only the returned list grows with it.
+Memory: a stream and its estimates are columns, one numpy array per
+field, eight bytes a value.  The generator and the trace reader append
+to ``array`` columns and hand their memory to numpy; the estimator reads
+slices of the trace's columns and writes time, raw, current and capped
+estimates into four arrays it allocates once.  ``AckTraceView`` and
+``EstimateView`` build an ``AmpduAckEvent`` or an ``EstimatePoint`` when
+one is read, and a slice of either is a view of the same columns.  A
+sequence of records given to the estimator is turned into columns once,
+on entry, each typed as ``np.array`` types its values, and goes through
+the same kernel.  Beyond the columns, the kernel holds the block's
+arrays, the samples of the last window carried into the next block, and
+the table: O(block + window) whatever the stream's length.
 
 ``generate_mac_trace`` synthesizes acknowledgment streams with known
 ground truth for exercising the estimator.  Each batch's overhead is
@@ -63,11 +72,15 @@ from __future__ import annotations
 import csv
 import math
 import mmap
+import operator
 import random
+from array import array
 from bisect import bisect_right
-from dataclasses import dataclass, replace
-from itertools import islice
-from typing import Optional, Sequence
+from collections.abc import Sequence
+from dataclasses import dataclass, fields
+from itertools import chain, starmap
+from operator import attrgetter
+from typing import Optional
 
 import numpy as np
 
@@ -134,18 +147,102 @@ _BLOCK = 1024            # events per kernel block
 _TABLE_SPAN = 1 << 16    # windows (us) shorter than this keep their weights in a table
 
 
-def _block_rates(block: list[AmpduAckEvent], gaps: np.ndarray):
+def _rows(*columns: np.ndarray):
+    """Tuples of the columns' values as Python numbers, a block at a time."""
+    return chain.from_iterable(
+        zip(*[c[lo:lo + _BLOCK].tolist() for c in columns])
+        for lo in range(0, len(columns[0]), _BLOCK))
+
+
+def _frombuffer(column: array) -> np.ndarray:
+    """The ``array`` column as a numpy array over the same memory."""
+    return np.frombuffer(column, dtype=column.typecode)
+
+
+class _Columns(Sequence):
+    """Read-only sequence of records kept as one numpy column per field.
+
+    Each record is built when it is read, from Python numbers; a slice is
+    a view of the same columns.  It equals a list or view of equal records.
+    """
+
+    __slots__ = ("columns",)
+    record: type
+
+    def __init__(self, columns):
+        self.columns = tuple(columns)
+
+    def __len__(self) -> int:
+        return len(self.columns[0])
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return type(self)(c[i] for c in self.columns)
+        # range() checks the bounds and resolves a negative index.
+        i = range(len(self))[i]
+        return self.record(*[c.item(i) for c in self.columns])
+
+    def __iter__(self):
+        return starmap(self.record, _rows(*self.columns))
+
+    def __eq__(self, other):
+        if not isinstance(other, (list, _Columns)):
+            return NotImplemented
+        return len(self) == len(other) and all(map(operator.eq, self, other))
+
+    __hash__ = None
+
+
+_ACK_FIELDS = tuple(f.name for f in fields(AmpduAckEvent))
+# The columns of a stream with no events, which has no values to type them.
+_EMPTY_ACK_DTYPES = (np.int64, np.int64, np.int64, np.float64, np.int64, np.float64, np.int64)
+
+
+class AckTraceView(_Columns):
+    """An acknowledgment stream, one column per ``AmpduAckEvent`` field.
+
+    Assigning an ``AmpduAckEvent`` to an index writes its fields into the
+    columns; an integer column takes integers only.
+    """
+
+    __slots__ = ()
+    record = AmpduAckEvent
+
+    @classmethod
+    def from_records(cls, events) -> AckTraceView:
+        """Columns of the records' fields, each typed as ``np.array`` types its values."""
+        events = list(events)
+        if not events:
+            return cls(np.empty(0, dtype) for dtype in _EMPTY_ACK_DTYPES)
+        return cls(np.array(list(map(attrgetter(name), events))) for name in _ACK_FIELDS)
+
+    def __setitem__(self, i: int, event: AmpduAckEvent) -> None:
+        i = range(len(self))[i]
+        for column, name in zip(self.columns, _ACK_FIELDS):
+            value = getattr(event, name)
+            column[i] = operator.index(value) if column.dtype.kind == "i" else value
+
+
+class EstimateView(_Columns):
+    """Estimates as columns: time, raw, current and capped, ``EstimatePoint``'s fields."""
+
+    __slots__ = ()
+    record = EstimatePoint
+
+
+def _as_trace(events: Sequence[AmpduAckEvent]) -> AckTraceView:
+    return events if isinstance(events, AckTraceView) else AckTraceView.from_records(events)
+
+
+def _block_rates(b, s, r, m, gaps):
     """Backlogged projection and instantaneous rate of each event in a block.
 
     The arithmetic is ``backlogged_projection``'s and
-    ``instantaneous_rate``'s, operation for operation.  Also returns the
-    index of the first event either function rejects, or None: the mask
-    is their checks, so every event it passes has a positive airtime.
+    ``instantaneous_rate``'s, operation for operation, on the block's
+    batch, frame size, PHY rate, max batch and gap columns.  Also returns
+    the index of the first event either function rejects, or None: the
+    mask is their checks, so every event it passes has a positive airtime.
     """
-    b = np.array([ev.batch_frames for ev in block])
-    s = np.array([ev.frame_bits for ev in block])
-    r = np.array([ev.phy_rate_bps for ev in block], dtype=float)
-    m = np.array([ev.max_batch for ev in block])
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         full_us = gaps + (m - b) * s * US_PER_S / r
         projection = m * s * US_PER_S / full_us
@@ -169,12 +266,14 @@ def _window_starts(times: np.ndarray, cutoffs: np.ndarray) -> np.ndarray:
     return np.array(starts, dtype=np.intp)
 
 
-def _estimate_stream(events, window_us: SimTime, cap_factor: float,
-                     recompute_inter_ack: bool) -> list[EstimatePoint]:
+def _estimate_stream(trace: AckTraceView, window_us: SimTime,
+                     cap_factor: float) -> EstimateView:
     """Filtered projection, dequeue rate and capped estimate at every event.
 
-    Works block by block as the module docstring lays out; the samples
-    still in the window after a block are carried into the next.
+    Works block by block as the module docstring lays out: a block reads
+    slices of the trace's columns and writes slices of the estimates'
+    columns, which are allocated once.  The samples still in the window
+    after a block are carried into the next.
     """
     if not cap_factor > 0:
         raise ValueError(f"cap factor must be positive, got {cap_factor}")
@@ -188,26 +287,20 @@ def _estimate_stream(events, window_us: SimTime, cap_factor: float,
     # the call returns; freed into the heap they would stay resident.
     table = np.frombuffer(mmap.mmap(-1, 8 * (window_us + 1))) \
         if window_us < _TABLE_SPAN else None
-    events = iter(events)
-    prev_time = None
-    if recompute_inter_ack:
-        first = next(events, None)
-        if first is None:
-            return []
-        prev_time = first.time_us
-    win_times = np.empty(0, dtype=np.int64)
+    time_us, batch, bits, phy, max_batch, gap = trace.columns[:6]
+    total = len(trace)
+    estimates = EstimateView((np.empty(total, dtype=np.int64), np.empty(total),
+                              np.empty(total), np.empty(total)))
+    out_time, out_raw, out_cur, out_capped = estimates.columns
+    win_times = time_us[:0]
     win_raw = win_cur = np.empty(0)
-    out: list[EstimatePoint] = []
-    while block := list(islice(events, _BLOCK)):
-        stamps = [ev.time_us for ev in block]
-        t = np.array(stamps)
-        if recompute_inter_ack:
-            gaps = np.diff(t, prepend=prev_time)
-            prev_time = stamps[-1]
-        else:
-            gaps = np.array([ev.inter_ack_us for ev in block])
-        projection, rate, first_bad = _block_rates(block, gaps)
-        n = len(block) if first_bad is None else first_bad
+    for lo in range(0, total, _BLOCK):
+        hi = min(lo + _BLOCK, total)
+        t = time_us[lo:hi]
+        projection, rate, first_bad = _block_rates(
+            batch[lo:hi], bits[lo:hi], phy[lo:hi].astype(float, copy=False),
+            max_batch[lo:hi], gap[lo:hi])
+        n = hi - lo if first_bad is None else first_bad
 
         # The window's samples, then the block's: event i sits at c + i.
         c = win_times.size
@@ -246,52 +339,60 @@ def _estimate_stream(events, window_us: SimTime, cap_factor: float,
             num_raw[:m] += w * raws[j]
             num_cur[:m] += w * curs[j]
             den[:m] += w
-        raw, cur = np.empty(n), np.empty(n)
+        raw, cur = out_raw[lo:lo + n], out_cur[lo:lo + n]
         raw[order] = num_raw / den
         cur[order] = num_cur / den
-
         # min(raw, scaled) as Python takes it: raw unless scaled is less.
-        # Where it is not capped, the capped estimate is the raw float
-        # object itself, so a point holds no more objects than it needs.
-        raw_list = raw.tolist()
-        capped = raw_list.copy()
         scaled = cap_factor * cur
-        below = np.flatnonzero(scaled < raw)
-        for i, v in zip(below.tolist(), scaled[below].tolist()):
-            capped[i] = v
-        out.extend(map(EstimatePoint, map(int, stamps[:n]), raw_list, cur.tolist(), capped))
+        out_capped[lo:lo + n] = np.where(scaled < raw, scaled, raw)
+        # Float times are truncated as int() truncates them.
+        out_time[lo:lo + n] = ([int(v) for v in t[:n].tolist()] if t.dtype.kind == "f"
+                               else t[:n])
 
         if first_bad is not None:
             # Raise the scalar functions' own error for the rejected event.
-            ev = replace(block[first_bad], inter_ack_us=gaps[first_bad].item())
+            ev = trace[lo + first_bad]
             backlogged_projection(ev)
             instantaneous_rate(ev)
         tail = starts[-1]
         win_times, win_raw, win_cur = times[tail:], raws[tail:], curs[tail:]
-    return out
+    return estimates
 
 
 def estimate_capacity(events: Sequence[AmpduAckEvent], window_us: SimTime = 40_000,
-                      cap_factor: float = 2.0) -> list[EstimatePoint]:
-    """Run the estimator over one shared acknowledgment stream."""
-    return _estimate_stream(events, window_us, cap_factor, recompute_inter_ack=False)
+                      cap_factor: float = 2.0) -> EstimateView:
+    """Run the estimator over one shared acknowledgment stream.
+
+    ``events`` is an ``AckTraceView`` or any sequence of ``AmpduAckEvent``s;
+    a sequence of records is turned into columns first.
+    """
+    return _estimate_stream(_as_trace(events), window_us, cap_factor)
 
 
 def estimate_capacity_per_user(events: Sequence[AmpduAckEvent],
                                window_us: SimTime = 40_000,
-                               cap_factor: float = 2.0) -> dict[int, list[EstimatePoint]]:
+                               cap_factor: float = 2.0) -> dict[int, EstimateView]:
     """Per-station estimates from a shared medium.
 
     Each user's inter-ACK times are recomputed between that user's own
     acknowledgments, so other stations' airtime is absorbed into the
     per-batch overhead and the projection yields the rate this user would
-    see if it alone were backlogged (its contended share).
+    see if it alone were backlogged (its contended share).  A user's first
+    acknowledgment only starts its clock, so a user with one has no
+    estimates.
     """
-    by_user: dict[int, list[AmpduAckEvent]] = {}
-    for ev in events:
-        by_user.setdefault(ev.user, []).append(ev)
-    return {u: _estimate_stream(evs, window_us, cap_factor, recompute_inter_ack=True)
-            for u, evs in sorted(by_user.items())}
+    trace = _as_trace(events)
+    rows: dict[int, list[int]] = {}
+    for i, user in enumerate(trace.columns[6].tolist()):
+        rows.setdefault(user, []).append(i)
+    per_user = {}
+    for user, index in sorted(rows.items()):
+        own = [c[index] for c in trace.columns]
+        gap = np.diff(own[0])
+        own = [c[1:] for c in own]
+        own[5] = gap
+        per_user[user] = _estimate_stream(AckTraceView(own), window_us, cap_factor)
+    return per_user
 
 
 # ---------------------------------------------------------------------------
@@ -307,6 +408,8 @@ class OverheadModel:
     floor_us: float = 200.0
 
     def validate(self) -> None:
+        if not all(map(math.isfinite, (self.mean_us, self.std_us, self.floor_us))):
+            raise ValueError("overhead mean, deviation and floor must be finite")
         if self.floor_us < 0 or self.mean_us <= self.floor_us:
             raise ValueError("overhead mean must exceed its floor")
         if self.std_us < 0:
@@ -339,7 +442,7 @@ class LinkProfile:
 def generate_mac_trace(profile: LinkProfile, offered_load_bps: float,
                        duration_s: float, seed: int = 0,
                        rate_schedule: Optional[Sequence[tuple[float, float]]] = None,
-                       user: int = 0) -> list[AmpduAckEvent]:
+                       user: int = 0) -> AckTraceView:
     """Synthesize a block-ACK stream for a station offered a fluid load.
 
     Frames of ``frame_bits`` arrive continuously at ``offered_load_bps``;
@@ -347,12 +450,14 @@ def generate_mac_trace(profile: LinkProfile, offered_load_bps: float,
     ``min(M, floor(queue))`` of them and acknowledges the batch after its
     airtime plus one overhead drawn from the profile's log-normal.
     ``rate_schedule`` optionally steps the PHY rate over time as
-    ``(start_s, rate_bps)`` pairs, in order of start.
+    ``(start_s, rate_bps)`` pairs, in order of start.  Each acknowledgment
+    appends its time, batch, PHY rate and gap to a column.
     """
-    if offered_load_bps <= 0:
-        raise ValueError(f"offered load must be positive, got {offered_load_bps}")
-    if duration_s <= 0:
-        raise ValueError(f"duration must be positive, got {duration_s}")
+    # NaN fails the comparisons; an infinite load or duration would never end.
+    if not 0 < offered_load_bps < math.inf:
+        raise ValueError(f"offered load must be positive and finite, got {offered_load_bps}")
+    if not 0 < duration_s < math.inf:
+        raise ValueError(f"duration must be positive and finite, got {duration_s}")
     schedule = [(0.0, profile.phy_rate_bps)] if rate_schedule is None \
         else [(float(a), float(b)) for a, b in rate_schedule]
     if schedule[0][0] != 0.0:
@@ -389,8 +494,8 @@ def generate_mac_trace(profile: LinkProfile, offered_load_bps: float,
     t = 0.0
     backlog = 0.0
     prev_ack = 0.0
-    events: list[AmpduAckEvent] = []
-    append = events.append
+    times, batches, phys, gaps = array("q"), array("q"), array("d"), array("d")
+    add_time, add_batch, add_phy, add_gap = times.append, batches.append, phys.append, gaps.append
     while True:
         if backlog < 1.0:
             t += (1.0 - backlog) / arrivals_per_us
@@ -409,24 +514,32 @@ def generate_mac_trace(profile: LinkProfile, offered_load_bps: float,
             airtime = tx_us[b] + mean
         t += airtime
         if t > duration_us:
-            return events
+            break
         backlog = backlog + arrivals_per_us * airtime - b
         if backlog > backlog_cap:
             backlog = backlog_cap
-        append(AmpduAckEvent(int(t), b, frame_bits, phy, max_batch, t - prev_ack, user))
+        add_time(int(t))
+        add_batch(b)
+        add_phy(phy)
+        add_gap(t - prev_ack)
         prev_ack = t
+    n = len(times)
+    return AckTraceView((_frombuffer(times), _frombuffer(batches), np.full(n, frame_bits),
+                         _frombuffer(phys), np.full(n, max_batch), _frombuffer(gaps),
+                         np.full(n, user)))
 
 
-def merge_user_streams(*streams: Sequence[AmpduAckEvent]) -> list[AmpduAckEvent]:
+def merge_user_streams(*streams: Sequence[AmpduAckEvent]) -> AckTraceView:
     """Interleave per-user streams by time, recomputing shared inter-ACK gaps."""
-    merged = sorted((ev for s in streams for ev in s), key=lambda e: (e.time_us, e.user))
-    out = []
-    prev = 0.0
-    for ev in merged:
-        out.append(AmpduAckEvent(ev.time_us, ev.batch_frames, ev.frame_bits,
-                                 ev.phy_rate_bps, ev.max_batch, ev.time_us - prev, ev.user))
-        prev = ev.time_us
-    return out
+    parts = [_as_trace(s) for s in streams] or [AckTraceView.from_records([])]
+    columns = [np.concatenate(c) for c in zip(*(p.columns for p in parts))]
+    # By time, then user; Python's sort keeps equal keys in stream order.
+    keys = list(zip(columns[0].tolist(), columns[6].tolist()))
+    order = sorted(range(len(keys)), key=keys.__getitem__)
+    columns = [c[order] for c in columns]
+    # The first gap counts from time 0.
+    columns[5] = np.diff(columns[0], prepend=0.0)
+    return AckTraceView(columns)
 
 
 # ---------------------------------------------------------------------------
@@ -450,8 +563,9 @@ def write_mac_trace(events: Sequence[AmpduAckEvent], path: str) -> None:
             w.writerow(row)
 
 
-def read_mac_trace(path: str) -> list[AmpduAckEvent]:
-    events: list[AmpduAckEvent] = []
+def read_mac_trace(path: str) -> AckTraceView:
+    columns = [array(code) for code in "qqqdqdq"]
+    appends = [c.append for c in columns]
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
@@ -461,20 +575,26 @@ def read_mac_trace(path: str) -> list[AmpduAckEvent]:
             if not row:
                 continue
             try:
-                events.append(AmpduAckEvent(
-                    int(row[0]), int(row[1]), int(row[2]), float(row[3]),
-                    int(row[4]), float(row[5]), int(row[6]) if len(row) > 6 else 0))
-            except (ValueError, IndexError) as exc:
+                values = (int(row[0]), int(row[1]), int(row[2]), float(row[3]),
+                          int(row[4]), float(row[5]), int(row[6]) if len(row) > 6 else 0)
+                for add, value in zip(appends, values):
+                    add(value)
+            except (ValueError, IndexError, OverflowError) as exc:
                 raise ValueError(f"{path}:{lineno}: malformed trace row: {exc}") from exc
-    return events
+    return AckTraceView(map(_frombuffer, columns))
 
 
 def write_estimates(points: Sequence[EstimatePoint], path: str) -> None:
     """Write ``time_us,mu_hat_bps`` rows, the bytes ``csv.writer`` would write.
 
     ``csv.writer`` ends rows with ``\r\n`` and never quotes an integer or a
-    formatted float, so the lines are formatted directly.
+    formatted float, so the lines are formatted directly, from the time and
+    capped columns of an ``EstimateView``.
     """
+    if isinstance(points, EstimateView):
+        rows = _rows(points.columns[0], points.columns[3])
+    else:
+        rows = ((p.time_us, p.capped_bps) for p in points)
     with open(path, "w", newline="") as fh:
         fh.write("time_us,mu_hat_bps\r\n")
-        fh.writelines(f"{p.time_us},{p.capped_bps:.1f}\r\n" for p in points)
+        fh.writelines(f"{t},{capped:.1f}\r\n" for t, capped in rows)

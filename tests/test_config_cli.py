@@ -550,6 +550,41 @@ def test_cli_wifi_errors(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("args, message", [
+    # No acknowledgment fits in 1 ms; the average over none once raised
+    # ZeroDivisionError.
+    (["--duration-s", "0.001"], "no acknowledgment within 0.001 s"),
+    # An infinite duration never returned; a NaN load raised UnboundLocalError.
+    (["--duration-s", "inf"], "duration must be positive and finite, got inf"),
+    (["--duration-s", "nan"], "duration must be positive and finite, got nan"),
+    (["--load-mbps", "nan"], "offered load must be positive and finite, got nan"),
+    (["--overhead-std-us", "nan"], "overhead mean, deviation and floor must be finite"),
+])
+def test_cli_wifi_generate_rejects_empty_or_endless_traces(args, message, capsys):
+    # A traceback would escape main() and fail the test.
+    assert main(["wifi-estimate", "--generate", *args]) == 2
+    captured = capsys.readouterr()
+    assert f"error: {message}" in captured.err
+    assert "estimate" not in captured.out
+
+
+def test_cli_wifi_per_user_reports_a_station_without_estimates(tmp_path, capsys):
+    # Station 1 has one acknowledgment, which only starts its clock.
+    trace = tmp_path / "trace.csv"
+    trace.write_text("time_us,b,S_bits,R_bps,M,T_IA_us,user\n"
+                     "1000,4,12000,24000000,8,1000.0,0\n"
+                     "2000,4,12000,24000000,8,1000.0,1\n"
+                     "3000,4,12000,24000000,8,1000.0,0\n"
+                     "5000,4,12000,24000000,8,2000.0,0\n")
+    out = tmp_path / "est.csv"
+    assert main(["wifi-estimate", "--trace", str(trace), "--per-user", "--out", str(out)]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0].startswith("user 0: estimate 24.000 Mbit/s")
+    assert lines[1] == "user 1: no estimate (fewer than two acknowledgments)"
+    assert out.read_text().splitlines() == ["time_us,mu_hat_bps", "3000,24000000.0",
+                                            "5000,24000000.0"]
+
+
 @pytest.mark.parametrize("rate, gap, flags, message", [
     ("0", "3000.0", [], "PHY rate must be positive, got 0.0"),
     ("0", "3000.0", ["--per-user"], "PHY rate must be positive, got 0.0"),

@@ -12,13 +12,18 @@ report takes its delay percentiles from per-hop histograms: its traced
 peak on that log is about 13 B per hop stamp, where sorting a list of
 every delay took about 46.
 
-The Wi-Fi estimator works through a stream in blocks: beyond the list of
-estimates it returns, its traced peak on the companion benchmark's trace
-(60 s at 72 Mbit/s PHY, 40 Mbit/s offered) is about 0.2 MB.  (Its table
-of weights for the window's 40,001 integer ages, 0.3 MB, is a memory
-mapping that tracemalloc does not see; ``_TABLE_SPAN`` bounds it.)  A
-layout with one row per event and one column per window position would
-hold several MB here.
+The Wi-Fi path keeps its trace and its estimates as columns.  On the
+companion benchmark's trace (60 s at 72 Mbit/s PHY, 40 Mbit/s offered,
+26,651 acknowledgments) the generator keeps 1.50 MB and the estimator
+0.87 MB, about 89 B per event together: 56 for the trace's seven columns,
+32 for the estimates' four, and the slack of the columns the generator
+appends to.  One ``AmpduAckEvent`` and one ``EstimatePoint`` object per
+event kept about 270 B (4.06 and 3.21 MB).  Beyond the estimates it
+returns, the estimator's traced peak is about 0.27 MB, because it works
+through the stream in blocks.  (Its table of weights for the window's
+40,001 integer ages, 0.3 MB, is a memory mapping that tracemalloc does
+not see; ``_TABLE_SPAN`` bounds it.)  A layout with one row per event
+and one column per window position would hold several MB here.
 """
 
 import tracemalloc
@@ -36,6 +41,7 @@ MAX_BYTES_PER_DELIVERY = 200
 MAX_FLOWS_AFTER_8S = 100
 MAX_REPORT_BYTES_PER_STAMP = 16
 MAX_ESTIMATOR_WORKING_BYTES = 1 << 20
+MAX_WIFI_BYTES_PER_EVENT = 128
 
 
 def _simulation(name, duration_us):
@@ -84,6 +90,19 @@ def test_report_memory_per_stamp(shorts_8s):
     stamps = sum(len(stats.dequeue_times) for stats in log.hop_stats.values())
     assert stamps > 50_000
     assert peak / stamps < MAX_REPORT_BYTES_PER_STAMP, f"{peak / stamps:.1f} B per stamp"
+
+
+def test_wifi_memory_per_event():
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        events = generate_mac_trace(LinkProfile(phy_rate_bps=72e6), 40e6, 60.0, seed=0)
+        points = estimate_capacity(events)
+        kept = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert len(points) == len(events) > 20_000
+    assert kept / len(events) <= MAX_WIFI_BYTES_PER_EVENT, f"{kept / len(events):.0f} B per event"
 
 
 def test_estimator_working_memory():

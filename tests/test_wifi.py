@@ -1,15 +1,19 @@
 """Wireless capacity estimation from block-ACK streams."""
 
 import csv
+import dataclasses
 import math
 import random
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from accelbrake.wifi import (
+    AckTraceView,
     AmpduAckEvent,
     EstimatePoint,
+    EstimateView,
     LinkProfile,
     OverheadModel,
     backlogged_projection,
@@ -179,6 +183,10 @@ def test_overhead_model_degenerate_and_invalid():
         OverheadModel(mean_us=100, floor_us=200).validate()
     with pytest.raises(ValueError):
         OverheadModel(std_us=-1).validate()
+    for bad in ({"mean_us": math.inf}, {"mean_us": math.nan}, {"std_us": math.nan},
+                {"std_us": math.inf}, {"floor_us": math.nan}):
+        with pytest.raises(ValueError, match="must be finite"):
+            OverheadModel(**bad).validate()
 
 
 def test_profile_capacity_accounts_for_overhead():
@@ -212,6 +220,13 @@ def test_generator_input_validation():
     for rate in (0.0, -12e6):
         with pytest.raises(ValueError, match="rate schedule rates must be positive"):
             generate_mac_trace(p, 1e6, 1.0, rate_schedule=[(0.0, 24e6), (0.5, rate)])
+    # An infinite duration never ended, a NaN one neither (t > nan is never
+    # true), and a NaN load never looked up a PHY rate.
+    for value in (math.inf, math.nan, -math.inf):
+        with pytest.raises(ValueError, match="duration must be positive and finite"):
+            generate_mac_trace(p, 1e6, value)
+        with pytest.raises(ValueError, match="offered load must be positive and finite"):
+            generate_mac_trace(p, value, 1.0)
 
 
 def test_overloaded_link_fills_batches():
@@ -247,6 +262,95 @@ def test_rate_schedule_switches_phy_rate():
             switched = True
         elif switched:
             pytest.fail("PHY rate went back up after the scheduled step-down")
+
+
+# -------------------------------------------------------------------- views
+
+@pytest.fixture(scope="module")
+def minute():
+    """The companion benchmark's trace and its estimates."""
+    events = generate_mac_trace(LinkProfile(phy_rate_bps=72e6), 40e6, 60.0, seed=0)
+    return events, estimate_capacity(events)
+
+
+def test_views_index_like_lists(minute):
+    for view, cls, record in ((minute[0], AckTraceView, AmpduAckEvent),
+                              (minute[1], EstimateView, EstimatePoint)):
+        records = list(view)
+        assert isinstance(view, cls) and len(view) == len(records) > 20_000
+        assert all(type(r) is record for r in records)
+        for i in (0, 1, 1_023, 1_024, -1, -2, -len(records)):
+            assert view[i] == records[i]
+        for i in (len(records), -len(records) - 1):
+            with pytest.raises(IndexError):
+                view[i]
+        assert view == records and records == view
+        assert view != records[:-1] and view != records[1:] + records[:1]
+        # Fields read back as Python numbers, not numpy scalars.
+        assert {type(v) for r in records[:3] for v in dataclasses.astuple(r)} <= {int, float}
+
+
+@pytest.mark.parametrize("cut", [
+    lambda n: slice(5, 50),
+    lambda n: slice(n // 3, None),  # what the CLI and perfbench average over
+    lambda n: slice(-30, None),
+    lambda n: slice(None, None, 3),
+    lambda n: slice(200, 10, -7),
+    lambda n: slice(9, 9),
+])
+def test_view_slice_is_a_view(minute, cut):
+    for view in minute:
+        records = list(view)[cut(len(view))]
+        part = view[cut(len(view))]
+        assert type(part) is type(view)
+        assert part == records and len(part) == len(records)
+        # No copy: the slice reads the view's own columns.
+        if len(part):
+            assert all(np.shares_memory(a, b) for a, b in zip(part.columns, view.columns))
+
+
+def test_trace_item_assignment_writes_the_columns():
+    p = LinkProfile(24e6, 8, 12_000, OverheadModel(1_000, 200, 200))
+    events = generate_mac_trace(p, 10e6, 0.5, seed=4)
+    ev = _event(t=events[-2].time_us + 1, b=3, r=12e6, gap=1.5, user=2)
+    events[-1] = ev
+    assert events[-1] == ev and events[-1].time_us == ev.time_us
+    with pytest.raises(TypeError):
+        events[0] = _event(t=1.5)
+    with pytest.raises(IndexError):
+        events[len(events)] = ev
+
+
+def test_list_and_columns_take_one_kernel(minute):
+    # A list of records is turned into columns on entry; its estimates are
+    # the columnar trace's bit for bit.
+    events, points = minute
+    from_list = estimate_capacity(list(events))
+    for got, want in zip(from_list.columns, points.columns):
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+    per_user = estimate_capacity_per_user(list(events))
+    assert list(per_user) == [0]
+    for got, want in zip(per_user[0].columns, estimate_capacity_per_user(events)[0].columns):
+        assert got.tobytes() == want.tobytes()
+
+
+def test_estimate_file_from_columns_matches_records(minute, tmp_path):
+    points = minute[1][:5_000]
+    write_estimates(points, str(tmp_path / "columns.csv"))
+    write_estimates(list(points), str(tmp_path / "records.csv"))
+    assert (tmp_path / "columns.csv").read_bytes() == (tmp_path / "records.csv").read_bytes()
+
+
+def test_merge_takes_views_and_lists():
+    p = LinkProfile(72e6, 16, 12_000, OverheadModel(1_000, 200, 200))
+    a = generate_mac_trace(p, 8e6, 0.5, seed=1, user=0)
+    b = generate_mac_trace(p, 8e6, 0.5, seed=2, user=1)
+    merged = merge_user_streams(a, list(b))
+    assert isinstance(merged, AckTraceView)
+    assert merged == merge_user_streams(list(a), b)
+    assert len(merged) == len(a) + len(b)
+    assert [ev.time_us for ev in merged] == sorted(ev.time_us for ev in merged)
+    assert merge_user_streams() == [] and merge_user_streams([], a[:0]) == []
 
 
 # -------------------------------------------------------------------- files
