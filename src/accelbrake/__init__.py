@@ -21,20 +21,39 @@ Modules:
 - ``cli``       the ``accelbrake`` command
 """
 
-from .core import Ack, EcnCodepoint, Packet, MTU_BYTES
-from .engine import FlowSpec, HopSpec, ShortFlowLoad, Simulation, Topology
-from .links import FixedLink, OracleRateView, StepLink, TraceLink, load_trace_file
-from .metrics import MetricsLog, jain_index
-from .router import AbcParams, AbcRouter, accel_fraction, target_rate
-from .sender import AbcSender, CubicSender, lost_ack_drift, steady_state_window
+import importlib
 
-__all__ = [
-    "Ack", "EcnCodepoint", "Packet", "MTU_BYTES",
-    "FlowSpec", "HopSpec", "ShortFlowLoad", "Simulation", "Topology",
-    "FixedLink", "OracleRateView", "StepLink", "TraceLink", "load_trace_file",
-    "MetricsLog", "jain_index",
-    "AbcParams", "AbcRouter", "accel_fraction", "target_rate",
-    "AbcSender", "CubicSender", "lost_ack_drift", "steady_state_window",
-]
+# Each public name and the submodule that defines it.  ``import accelbrake``
+# loads none of them: a name's module is imported the first time the name is
+# read (PEP 562), so the fluid model and the Wi-Fi estimator run without
+# loading the simulator.
+_EXPORTS = {
+    "Ack": "core", "EcnCodepoint": "core", "Packet": "core", "MTU_BYTES": "core",
+    "FlowSpec": "engine", "HopSpec": "engine", "ShortFlowLoad": "engine",
+    "Simulation": "engine", "Topology": "engine",
+    "FixedLink": "links", "OracleRateView": "links", "StepLink": "links",
+    "TraceLink": "links", "load_trace_file": "links",
+    "MetricsLog": "metrics", "jain_index": "metrics",
+    "AbcParams": "router", "AbcRouter": "router", "accel_fraction": "router",
+    "target_rate": "router",
+    "AbcSender": "sender", "CubicSender": "sender", "lost_ack_drift": "sender",
+    "steady_state_window": "sender",
+}
+
+__all__ = list(_EXPORTS)
+
+
+def __getattr__(name):
+    module = _EXPORTS.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f".{module}", __name__), name)
+    globals()[name] = value  # later reads skip this hook
+    return value
+
+
+def __dir__():
+    return sorted(set(globals()) | set(__all__))
+
 
 __version__ = "0.1.0"

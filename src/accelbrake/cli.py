@@ -14,11 +14,12 @@ import dataclasses
 import errno
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
+from typing import TYPE_CHECKING
 
-from .config import ConfigError, load_scenario
-from .engine import ScenarioConfig, Simulation
-from .metrics import jain_index, report, write_outputs
+# Each handler imports what it uses, so ``fluid`` and ``wifi-estimate``
+# load neither yaml nor the simulator.
+if TYPE_CHECKING:
+    from .engine import ScenarioConfig
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -111,6 +112,7 @@ def _describe(cfg: ScenarioConfig, path: str) -> str:
 
 
 def _summarize(rep: dict, long_ids: list) -> str:
+    from .metrics import jain_index
     # A figure the report leaves as None prints as "n/a", a long flow with no steady rate as 0.
     lines = [f"seed {rep['seed']}: {rep['delivered_packets']} delivered, "
              f"{rep['dropped_packets']} dropped"]
@@ -127,6 +129,8 @@ def _summarize(rep: dict, long_ids: list) -> str:
 
 
 def _run_one(cfg: ScenarioConfig, out_dir) -> str:
+    from .engine import Simulation
+    from .metrics import report, write_outputs
     sim = Simulation(cfg.topology, cfg.duration_us, seed=cfg.seed,
                      flow_sample_interval_us=cfg.sample_interval_us,
                      log_router_rows=cfg.log_router_rows,
@@ -137,6 +141,7 @@ def _run_one(cfg: ScenarioConfig, out_dir) -> str:
 
 
 def _cmd_run(args) -> int:
+    from .config import ConfigError, load_scenario
     try:
         cfg = load_scenario(args.config)
     except ConfigError as exc:
@@ -186,6 +191,7 @@ def _cmd_run(args) -> int:
         except OSError as exc:
             return _write_failed(args.out, exc)
         return 0
+    from concurrent.futures import ProcessPoolExecutor
     # A fork pool starts all max_workers processes at the first submit.
     jobs = min(len(runs), args.jobs if args.jobs > 0 else os.cpu_count() or 1)
     status = 0

@@ -12,7 +12,6 @@ import math
 import operator
 from dataclasses import dataclass, field
 from enum import IntEnum
-from typing import Optional
 
 # Simulation timestamps are integer microseconds.
 SimTime = int

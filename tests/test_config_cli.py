@@ -13,6 +13,7 @@ import yaml
 from accelbrake import cli, metrics
 from accelbrake.cli import main
 from accelbrake.config import ConfigError, load_scenario, parse_scenario
+from accelbrake.engine import Simulation
 from accelbrake.links import FixedLink, StepLink, TraceLink
 
 SCENARIO_DIR = os.path.join(os.path.dirname(__file__), "..", "scenarios")
@@ -321,7 +322,7 @@ def test_cli_run_reads_the_file_once(quick_scenario, monkeypatch, capsys):
         calls.append(path)
         return load_scenario(path)
 
-    monkeypatch.setattr("accelbrake.cli.load_scenario", counting_load)
+    monkeypatch.setattr("accelbrake.config.load_scenario", counting_load)
     assert main(["run", "--config", quick_scenario, "--seed", "3"]) == 0
     assert calls == [quick_scenario]
     assert "seed 3:" in capsys.readouterr().out
@@ -461,7 +462,7 @@ def test_cli_jobs_capped_at_number_of_seeds(quick_scenario, monkeypatch, capsys,
             fut.set_result(fn(*args))
             return fut
 
-    monkeypatch.setattr("accelbrake.cli.ProcessPoolExecutor", InlinePool)
+    monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", InlinePool)
     monkeypatch.setattr("accelbrake.cli.os.cpu_count", lambda: 64)
     assert main(["run", "--config", quick_scenario, "--seeds", "1,2", "--jobs", jobs,
                  "--duration", "0.1"]) == 0
@@ -476,7 +477,7 @@ def no_simulation(monkeypatch):
     def run(self):
         raise AssertionError("simulated before checking the output directory")
 
-    monkeypatch.setattr(cli.Simulation, "run", run)
+    monkeypatch.setattr(Simulation, "run", run)
 
 
 @pytest.mark.parametrize("argv", [
