@@ -86,6 +86,18 @@ def _write_failed(path: str, exc: OSError) -> int:
     return 2
 
 
+def _print_summary(text: str) -> int:
+    """Print a run's summary: 0, or 1 once the reader of stdout has gone."""
+    try:
+        print(text, flush=True)
+    except BrokenPipeError:
+        # As the Python docs advise for SIGPIPE: stdout goes to devnull, so
+        # the flush at exit raises no second error.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
+    return 0
+
+
 def _make_out_dir(path: str) -> None:
     """Create the directory ``path`` and check that files can be made in it."""
     os.makedirs(path, exist_ok=True)
@@ -187,21 +199,24 @@ def _cmd_run(args) -> int:
             return _write_failed(args.out, exc)
     if len(runs) == 1:
         try:
-            print(_run_one(runs[0], out_for(runs[0].seed)))
+            summary = _run_one(runs[0], out_for(runs[0].seed))
         except OSError as exc:
             return _write_failed(args.out, exc)
-        return 0
+        return _print_summary(summary)
     from concurrent.futures import ProcessPoolExecutor
     # A fork pool starts all max_workers processes at the first submit.
     jobs = min(len(runs), args.jobs if args.jobs > 0 else os.cpu_count() or 1)
     status = 0
     with ProcessPoolExecutor(max_workers=jobs) as pool:
         futures = [pool.submit(_run_one, run, out_for(run.seed)) for run in runs]
+        # Every run finishes and writes its directory, read or not.
         for fut in futures:
             try:
-                print(fut.result())
+                summary = fut.result()
             except OSError as exc:
                 status = _write_failed(args.out, exc)
+                continue
+            status = max(status, _print_summary(summary))
     return status
 
 

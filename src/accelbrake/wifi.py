@@ -26,11 +26,10 @@ to a loop over the samples, oldest first.  It takes the stream
 ``_BLOCK`` events at a time:
 
 1. The projection and the instantaneous rate of every event in the block
-   as arrays, with ``backlogged_projection``'s and
-   ``instantaneous_rate``'s operations: integer products stay integers
-   until the division.  The first event either function rejects ends the
-   block, and once the events before it are estimated that function
-   raises its own error for it.
+   as arrays: integer products stay integers until the division.  A mask
+   checks each event's gap, PHY rate, frame size and batch.  The first
+   event it rejects ends the block, and once the events before it are
+   estimated the kernel raises that event's error.
 2. Each event's window start: the front of the window walks forward
    past every sample below the event's cutoff, as the filter pops it, so
    times out of order or repeated get the filter's windows.
@@ -51,14 +50,15 @@ Memory: a stream and its estimates are columns, one numpy array per
 field, eight bytes a value.  The generator and the trace reader append
 to ``array`` columns and hand their memory to numpy; the estimator reads
 slices of the trace's columns and writes time, raw, current and capped
-estimates into four arrays it allocates once.  ``AckTraceView`` and
-``EstimateView`` build an ``AmpduAckEvent`` or an ``EstimatePoint`` when
-one is read, and a slice of either is a view of the same columns.  A
-sequence of records given to the estimator is turned into columns once,
-on entry, each typed as ``np.array`` types its values, and goes through
-the same kernel.  Beyond the columns, the kernel holds the block's
-arrays, the samples of the last window carried into the next block, and
-the table: O(block + window) whatever the stream's length.
+estimates into four arrays it allocates once.  The read-only views
+``AckTraceView`` and ``EstimateView`` build an ``AmpduAckEvent`` or an
+``EstimatePoint`` when one is read, and a slice of either is a view of
+the same columns.  Each function that takes a stream or estimates
+converts it once, on entry, through ``from_records``: a view passes as
+it is, records become columns typed as ``np.array`` types their values.
+Beyond the columns, the kernel holds the block's arrays, the samples of
+the last window carried into the next block, and the table:
+O(block + window) whatever the stream's length.
 
 ``generate_mac_trace`` synthesizes acknowledgment streams with known
 ground truth for exercising the estimator.  Each batch's overhead is
@@ -104,37 +104,6 @@ class AmpduAckEvent:
     user: int = 0
 
 
-def _check_positive(event: AmpduAckEvent) -> None:
-    """Reject a gap, PHY rate or frame size that is not a positive number.
-
-    NaN fails too.  With all three positive and ``1 <= b <= M``, a full
-    batch's airtime ``T_IA + (M-b)*S/R`` is positive as well.
-    """
-    if not event.inter_ack_us > 0:
-        # float(): a gap recomputed from integer times may be an int.
-        raise ValueError(f"inter-ACK time must be positive, got {float(event.inter_ack_us)}")
-    if not event.phy_rate_bps > 0:
-        raise ValueError(f"PHY rate must be positive, got {event.phy_rate_bps}")
-    if not event.frame_bits > 0:
-        raise ValueError(f"frame size must be positive, got {event.frame_bits}")
-
-
-def instantaneous_rate(event: AmpduAckEvent) -> float:
-    """Throughput of this batch alone: b*S / T_IA, in bits/s."""
-    _check_positive(event)
-    return event.batch_frames * event.frame_bits * US_PER_S / event.inter_ack_us
-
-
-def backlogged_projection(event: AmpduAckEvent) -> float:
-    """Rate a full batch would have achieved: M*S / (T_IA + (M-b)*S/R)."""
-    _check_positive(event)
-    if not 1 <= event.batch_frames <= event.max_batch:
-        raise ValueError(
-            f"batch of {event.batch_frames} outside [1, {event.max_batch}]")
-    pad_us = (event.max_batch - event.batch_frames) * event.frame_bits * US_PER_S / event.phy_rate_bps
-    return event.max_batch * event.frame_bits * US_PER_S / (event.inter_ack_us + pad_us)
-
-
 @dataclass(slots=True)
 class EstimatePoint:
     time_us: SimTime
@@ -168,9 +137,21 @@ class _Columns(Sequence):
 
     __slots__ = ("columns",)
     record: type
+    # The columns of a sequence with no records, which has no values to type them.
+    empty_dtypes: tuple
 
     def __init__(self, columns):
         self.columns = tuple(columns)
+
+    @classmethod
+    def from_records(cls, records):
+        """A view as it is; records as columns, each typed as ``np.array`` types its values."""
+        if isinstance(records, cls):
+            return records
+        records = list(records)
+        if not records:
+            return cls(np.empty(0, dtype) for dtype in cls.empty_dtypes)
+        return cls(np.array(list(map(attrgetter(f.name), records))) for f in fields(cls.record))
 
     def __len__(self) -> int:
         return len(self.columns[0])
@@ -193,34 +174,12 @@ class _Columns(Sequence):
     __hash__ = None
 
 
-_ACK_FIELDS = tuple(f.name for f in fields(AmpduAckEvent))
-# The columns of a stream with no events, which has no values to type them.
-_EMPTY_ACK_DTYPES = (np.int64, np.int64, np.int64, np.float64, np.int64, np.float64, np.int64)
-
-
 class AckTraceView(_Columns):
-    """An acknowledgment stream, one column per ``AmpduAckEvent`` field.
-
-    Assigning an ``AmpduAckEvent`` to an index writes its fields into the
-    columns; an integer column takes integers only.
-    """
+    """An acknowledgment stream, one column per ``AmpduAckEvent`` field."""
 
     __slots__ = ()
     record = AmpduAckEvent
-
-    @classmethod
-    def from_records(cls, events) -> AckTraceView:
-        """Columns of the records' fields, each typed as ``np.array`` types its values."""
-        events = list(events)
-        if not events:
-            return cls(np.empty(0, dtype) for dtype in _EMPTY_ACK_DTYPES)
-        return cls(np.array(list(map(attrgetter(name), events))) for name in _ACK_FIELDS)
-
-    def __setitem__(self, i: int, event: AmpduAckEvent) -> None:
-        i = range(len(self))[i]
-        for column, name in zip(self.columns, _ACK_FIELDS):
-            value = getattr(event, name)
-            column[i] = operator.index(value) if column.dtype.kind == "i" else value
+    empty_dtypes = (np.int64, np.int64, np.int64, np.float64, np.int64, np.float64, np.int64)
 
 
 class EstimateView(_Columns):
@@ -228,20 +187,18 @@ class EstimateView(_Columns):
 
     __slots__ = ()
     record = EstimatePoint
-
-
-def _as_trace(events: Sequence[AmpduAckEvent]) -> AckTraceView:
-    return events if isinstance(events, AckTraceView) else AckTraceView.from_records(events)
+    empty_dtypes = (np.int64, np.float64, np.float64, np.float64)
 
 
 def _block_rates(b, s, r, m, gaps):
     """Backlogged projection and instantaneous rate of each event in a block.
 
-    The arithmetic is ``backlogged_projection``'s and
-    ``instantaneous_rate``'s, operation for operation, on the block's
-    batch, frame size, PHY rate, max batch and gap columns.  Also returns
-    the index of the first event either function rejects, or None: the
-    mask is their checks, so every event it passes has a positive airtime.
+    On the block's batch, frame size, PHY rate, max batch and gap columns:
+    the projection ``M*S / (T_IA + (M-b)*S/R)`` and the rate ``b*S / T_IA``,
+    in bits/s, integer products staying integers until the division.  Also
+    returns the index of the first event the mask rejects, or None.  The
+    mask asks for a positive gap, PHY rate and frame size (NaN fails) and
+    ``1 <= b <= M``, so every event it passes has a positive airtime.
     """
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         full_us = gaps + (m - b) * s * US_PER_S / r
@@ -249,6 +206,18 @@ def _block_rates(b, s, r, m, gaps):
         rate = b * s * US_PER_S / gaps
     bad = np.flatnonzero(~(gaps > 0) | ~(r > 0) | ~(s > 0) | ~((1 <= b) & (b <= m)))
     return projection, rate, (int(bad[0]) if bad.size else None)
+
+
+def _reject(event: AmpduAckEvent):
+    """Raise the error for an event the mask rejects: gap, PHY rate, frame size, else batch."""
+    if not event.inter_ack_us > 0:
+        # float(): a gap recomputed from integer times may be an int.
+        raise ValueError(f"inter-ACK time must be positive, got {float(event.inter_ack_us)}")
+    if not event.phy_rate_bps > 0:
+        raise ValueError(f"PHY rate must be positive, got {event.phy_rate_bps}")
+    if not event.frame_bits > 0:
+        raise ValueError(f"frame size must be positive, got {event.frame_bits}")
+    raise ValueError(f"batch of {event.batch_frames} outside [1, {event.max_batch}]")
 
 
 def _window_starts(times: np.ndarray, cutoffs: np.ndarray) -> np.ndarray:
@@ -289,8 +258,7 @@ def _estimate_stream(trace: AckTraceView, window_us: SimTime,
         if window_us < _TABLE_SPAN else None
     time_us, batch, bits, phy, max_batch, gap = trace.columns[:6]
     total = len(trace)
-    estimates = EstimateView((np.empty(total, dtype=np.int64), np.empty(total),
-                              np.empty(total), np.empty(total)))
+    estimates = EstimateView(np.empty(total, dtype) for dtype in EstimateView.empty_dtypes)
     out_time, out_raw, out_cur, out_capped = estimates.columns
     win_times = time_us[:0]
     win_raw = win_cur = np.empty(0)
@@ -350,10 +318,7 @@ def _estimate_stream(trace: AckTraceView, window_us: SimTime,
                                else t[:n])
 
         if first_bad is not None:
-            # Raise the scalar functions' own error for the rejected event.
-            ev = trace[lo + first_bad]
-            backlogged_projection(ev)
-            instantaneous_rate(ev)
+            _reject(trace[lo + first_bad])
         tail = starts[-1]
         win_times, win_raw, win_cur = times[tail:], raws[tail:], curs[tail:]
     return estimates
@@ -361,12 +326,8 @@ def _estimate_stream(trace: AckTraceView, window_us: SimTime,
 
 def estimate_capacity(events: Sequence[AmpduAckEvent], window_us: SimTime = 40_000,
                       cap_factor: float = 2.0) -> EstimateView:
-    """Run the estimator over one shared acknowledgment stream.
-
-    ``events`` is an ``AckTraceView`` or any sequence of ``AmpduAckEvent``s;
-    a sequence of records is turned into columns first.
-    """
-    return _estimate_stream(_as_trace(events), window_us, cap_factor)
+    """Run the estimator over one shared stream: an ``AckTraceView`` or ``AmpduAckEvent``s."""
+    return _estimate_stream(AckTraceView.from_records(events), window_us, cap_factor)
 
 
 def estimate_capacity_per_user(events: Sequence[AmpduAckEvent],
@@ -381,7 +342,7 @@ def estimate_capacity_per_user(events: Sequence[AmpduAckEvent],
     acknowledgment only starts its clock, so a user with one has no
     estimates.
     """
-    trace = _as_trace(events)
+    trace = AckTraceView.from_records(events)
     rows: dict[int, list[int]] = {}
     for i, user in enumerate(trace.columns[6].tolist()):
         rows.setdefault(user, []).append(i)
@@ -530,8 +491,13 @@ def generate_mac_trace(profile: LinkProfile, offered_load_bps: float,
 
 
 def merge_user_streams(*streams: Sequence[AmpduAckEvent]) -> AckTraceView:
-    """Interleave per-user streams by time, recomputing shared inter-ACK gaps."""
-    parts = [_as_trace(s) for s in streams] or [AckTraceView.from_records([])]
+    """Interleave per-user streams by time, recomputing shared inter-ACK gaps.
+
+    Stations' ACKs at one time are kept, in order of user: the later ones
+    get a zero shared gap, which ``estimate_capacity`` rejects.  Per-user
+    estimates recompute each station's gaps from its own times.
+    """
+    parts = [AckTraceView.from_records(s) for s in streams] or [AckTraceView.from_records([])]
     columns = [np.concatenate(c) for c in zip(*(p.columns for p in parts))]
     # By time, then user; Python's sort keeps equal keys in stream order.
     keys = list(zip(columns[0].tolist(), columns[6].tolist()))
@@ -550,17 +516,14 @@ MAC_TRACE_COLUMNS = ["time_us", "b", "S_bits", "R_bps", "M", "T_IA_us"]
 
 def write_mac_trace(events: Sequence[AmpduAckEvent], path: str) -> None:
     """Write a trace; the ``user`` column is left out when every user is 0."""
-    with_user = any(ev.user for ev in events)
-    header = MAC_TRACE_COLUMNS + (["user"] if with_user else [])
+    trace = AckTraceView.from_records(events)
+    header = MAC_TRACE_COLUMNS + (["user"] if trace.columns[6].any() else [])
     with open(path, "w", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(header)
-        for ev in events:
-            row = [ev.time_us, ev.batch_frames, ev.frame_bits,
-                   f"{ev.phy_rate_bps:.0f}", ev.max_batch, f"{ev.inter_ack_us:.3f}"]
-            if with_user:
-                row.append(ev.user)
-            w.writerow(row)
+        # One column per header name: the user column only when it is written.
+        for t, b, s, r, m, gap, *user in _rows(*trace.columns[:len(header)]):
+            w.writerow([t, b, s, f"{r:.0f}", m, f"{gap:.3f}", *user])
 
 
 def read_mac_trace(path: str) -> AckTraceView:
@@ -591,10 +554,7 @@ def write_estimates(points: Sequence[EstimatePoint], path: str) -> None:
     formatted float, so the lines are formatted directly, from the time and
     capped columns of an ``EstimateView``.
     """
-    if isinstance(points, EstimateView):
-        rows = _rows(points.columns[0], points.columns[3])
-    else:
-        rows = ((p.time_us, p.capped_bps) for p in points)
+    time_us, _, _, capped = EstimateView.from_records(points).columns
     with open(path, "w", newline="") as fh:
         fh.write("time_us,mu_hat_bps\r\n")
-        fh.writelines(f"{t},{capped:.1f}\r\n" for t, capped in rows)
+        fh.writelines(f"{t},{c:.1f}\r\n" for t, c in _rows(time_us, capped))

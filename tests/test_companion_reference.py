@@ -1,9 +1,11 @@
 """The companion tools against the step-at-a-time versions they replaced.
 
 ``_reference_integrate`` is the Euler loop that advanced the fluid model
-one step at a time, ``_ReferenceFilter`` the single-series filter the
-estimator ran once per series, and ``_reference_generate`` the generator
-that worked out the log-normal's parameters on every draw.  The faster
+one step at a time, ``backlogged_projection`` and ``instantaneous_rate``
+one event's rates, which the estimator works out a block at a time,
+``_ReferenceFilter`` the single-series filter the estimator ran once per
+series, and ``_reference_generate`` the generator that worked out the
+log-normal's parameters on every draw.  The faster
 code must give bit-identical results: equal bytes for the trajectories,
 equal floats for every event and estimate.
 """
@@ -26,11 +28,9 @@ from accelbrake.wifi import (
     EstimatePoint,
     LinkProfile,
     OverheadModel,
-    backlogged_projection,
     estimate_capacity,
     estimate_capacity_per_user,
     generate_mac_trace,
-    instantaneous_rate,
     merge_user_streams,
 )
 
@@ -137,6 +137,37 @@ def _assert_same(got, want):
     for i, (g, w) in enumerate(zip(got, want)):
         assert g == w, f"record {i} differs"
     assert len(got) == len(want)
+
+
+def _check_positive(event):
+    """Reject a gap, PHY rate or frame size that is not a positive number.
+
+    NaN fails too.  With all three positive and ``1 <= b <= M``, a full
+    batch's airtime ``T_IA + (M-b)*S/R`` is positive as well.
+    """
+    if not event.inter_ack_us > 0:
+        # float(): a gap recomputed from integer times may be an int.
+        raise ValueError(f"inter-ACK time must be positive, got {float(event.inter_ack_us)}")
+    if not event.phy_rate_bps > 0:
+        raise ValueError(f"PHY rate must be positive, got {event.phy_rate_bps}")
+    if not event.frame_bits > 0:
+        raise ValueError(f"frame size must be positive, got {event.frame_bits}")
+
+
+def instantaneous_rate(event):
+    """Throughput of this batch alone: b*S / T_IA, in bits/s."""
+    _check_positive(event)
+    return event.batch_frames * event.frame_bits * US_PER_S / event.inter_ack_us
+
+
+def backlogged_projection(event):
+    """Rate a full batch would have achieved: M*S / (T_IA + (M-b)*S/R)."""
+    _check_positive(event)
+    if not 1 <= event.batch_frames <= event.max_batch:
+        raise ValueError(
+            f"batch of {event.batch_frames} outside [1, {event.max_batch}]")
+    pad_us = (event.max_batch - event.batch_frames) * event.frame_bits * US_PER_S / event.phy_rate_bps
+    return event.max_batch * event.frame_bits * US_PER_S / (event.inter_ack_us + pad_us)
 
 
 class _ReferenceFilter:
@@ -457,6 +488,21 @@ def test_empty_and_one_event_streams():
         estimate_capacity([], window_us=0)
 
 
+def test_tied_merge_keeps_per_user_estimates():
+    # Three stations' acknowledgments at one microsecond stay in the merge:
+    # the shared gap between them is zero, which the shared estimate
+    # rejects, while each station's estimates come from its own gaps.
+    profile = LinkProfile(72e6, 16, 12_000, OverheadModel(1_000, 200, 200))
+    merged = merge_user_streams(*(generate_mac_trace(profile, 8e6, 3.0, seed=s, user=s - 1)
+                                  for s in (1, 2, 3)))
+    assert (np.diff(merged.columns[0]) == 0).any()
+    got = _outcome(estimate_capacity_per_user, merged, 40_000, 2.0)
+    assert list(got) == [0, 1, 2]
+    assert got == _outcome(_reference_per_user, merged, 40_000, 2.0)
+    with pytest.raises(ValueError, match=r"^inter-ACK time must be positive, got 0\.0$"):
+        estimate_capacity(merged)
+
+
 def test_one_event_user_under_per_user():
     profile = LinkProfile(72e6, 16, 12_000, OverheadModel(1_000, 200, 200))
     busy = generate_mac_trace(profile, 20e6, 1.0, seed=2, user=0)
@@ -477,12 +523,14 @@ def test_one_event_user_under_per_user():
     # Per user the gaps are recomputed from the times.
     ({"inter_ack_us": 0.0}, True, False),
     ({"inter_ack_us": -2.5}, True, False),
+    # Two faults: the gap is checked first, and per user only the rate is left.
+    ({"inter_ack_us": 0.0, "phy_rate_bps": 0.0}, True, True),
     ({"time_us": None}, False, True),
 ])
 def test_invalid_event_deep_in_stream_raises_same_error(change, shared_raises,
                                                         per_user_raises):
     profile = LinkProfile(72e6, 16, 12_000, OverheadModel(1_000, 200, 200))
-    events = generate_mac_trace(profile, 40e6, 4.0, seed=9)
+    events = list(generate_mac_trace(profile, 40e6, 4.0, seed=9))
     k = len(events) * 3 // 4
     assert k > 1_000
     if "time_us" in change:

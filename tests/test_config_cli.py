@@ -5,11 +5,15 @@ import copy
 import glob
 import hashlib
 import os
+import subprocess
+import sys
 from concurrent.futures import Future
+from pathlib import Path
 
 import pytest
 import yaml
 
+import accelbrake
 from accelbrake import cli, metrics
 from accelbrake.cli import main
 from accelbrake.config import ConfigError, load_scenario, parse_scenario
@@ -365,6 +369,28 @@ def test_cli_seed_sweep_across_processes(quick_scenario, tmp_path, capsys):
     out = capsys.readouterr().out
     assert "seed 1:" in out and "seed 2:" in out
     assert (out_dir / "seed_1" / "summary.txt").exists()
+    assert (out_dir / "seed_2" / "summary.txt").exists()
+
+
+def test_cli_sweep_into_closed_pipe_exits_1(quick_scenario, tmp_path):
+    # As in `accelbrake run --seeds 1,2 | head -1`, the reader of stdout goes
+    # away after the first line.  That is not an output-directory failure:
+    # the command exits 1 without a traceback, and the second run still
+    # writes its directory.  One worker runs the seeds in turn, so the
+    # second summary is printed well after the pipe is closed.
+    out_dir = tmp_path / "sweep"
+    env = dict(os.environ)
+    src = str(Path(accelbrake.__file__).resolve().parent.parent)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "accelbrake.cli", "run", "--config", quick_scenario,
+         "--seeds", "1,2", "--jobs", "1", "--duration", "5", "--out", str(out_dir)],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env, text=True)
+    assert proc.stdout.readline().startswith("seed 1:")
+    proc.stdout.close()
+    _, err = proc.communicate(timeout=120)
+    assert proc.returncode == 1
+    assert "None" not in err and "Traceback" not in err, err
     assert (out_dir / "seed_2" / "summary.txt").exists()
 
 

@@ -16,11 +16,9 @@ from accelbrake.wifi import (
     EstimateView,
     LinkProfile,
     OverheadModel,
-    backlogged_projection,
     estimate_capacity,
     estimate_capacity_per_user,
     generate_mac_trace,
-    instantaneous_rate,
     merge_user_streams,
     read_mac_trace,
     write_estimates,
@@ -34,15 +32,25 @@ def _event(t=0, b=4, s=12_000, r=24e6, m=8, gap=3_000.0, user=0):
 
 # -------------------------------------------------------------- projections
 
+def _rates(ev):
+    """An event's backlogged projection and instantaneous rate.
+
+    They are the estimates of a stream of that one event: its sample's
+    weight is 1.0, so each weighted mean is the value itself.
+    """
+    point = estimate_capacity([ev])[0]
+    return point.raw_bps, point.current_bps
+
+
 def test_instantaneous_rate():
-    assert instantaneous_rate(_event()) == pytest.approx(16e6)
+    assert _rates(_event())[1] == pytest.approx(16e6)
     with pytest.raises(ValueError):
-        instantaneous_rate(_event(gap=0))
+        _rates(_event(gap=0))
 
 
 def test_backlogged_projection_pads_to_full_batch():
     # 4 missing frames at 24 Mbit/s add 2000 us of virtual airtime.
-    assert backlogged_projection(_event()) == pytest.approx(19.2e6)
+    assert _rates(_event())[0] == pytest.approx(19.2e6)
 
 
 def test_projection_recovers_capacity_from_partial_batch():
@@ -51,22 +59,21 @@ def test_projection_recovers_capacity_from_partial_batch():
     profile = LinkProfile(24e6, 8, 12_000, OverheadModel(1_000, 0, 200))
     airtime = 4 * 12_000 * 1e6 / 24e6 + 1_000
     ev = _event(b=4, gap=airtime)
-    assert backlogged_projection(ev) == pytest.approx(profile.true_capacity())
+    assert _rates(ev)[0] == pytest.approx(profile.true_capacity())
 
 
 def test_projection_validates_batch_size():
-    with pytest.raises(ValueError):
-        backlogged_projection(_event(b=0))
-    with pytest.raises(ValueError):
-        backlogged_projection(_event(b=9))  # exceeds the max batch of 8
+    with pytest.raises(ValueError, match=r"batch of 0 outside \[1, 8\]"):
+        _rates(_event(b=0))
+    with pytest.raises(ValueError, match=r"batch of 9 outside \[1, 8\]"):
+        _rates(_event(b=9))  # exceeds the max batch of 8
 
 
 @pytest.mark.parametrize("bad", [{"r": 0.0}, {"r": -24e6}, {"r": math.nan}, {"gap": math.nan},
                                  {"s": 0}, {"s": -12_000}])
 def test_rates_need_a_positive_gap_phy_rate_and_frame_size(bad):
-    for rate in (instantaneous_rate, backlogged_projection):
-        with pytest.raises(ValueError, match="must be positive"):
-            rate(_event(**bad))
+    with pytest.raises(ValueError, match="must be positive"):
+        _rates(_event(**bad))
 
 
 # ------------------------------------------------------------------- filter
@@ -88,9 +95,9 @@ def test_filter_halves_weight_per_half_window():
     events = [_event(t=0, b=2), _event(t=20_000, b=8)]
     point = estimate_capacity(events, window_us=40_000)[1]
     # The older sample is one half-life old: weight 0.5 against 1.0.
+    first, second = _rates(events[0]), _rates(events[1])
     assert (point.raw_bps, point.current_bps) == pytest.approx(
-        [(0.5 * f(events[0]) + f(events[1])) / 1.5
-         for f in (backlogged_projection, instantaneous_rate)])
+        [(0.5 * a + b) / 1.5 for a, b in zip(first, second)])
 
 
 def test_filter_drops_samples_outside_window():
@@ -100,10 +107,10 @@ def test_filter_drops_samples_outside_window():
     # half-life old.
     w = 0.5 ** (20_001 / 20_000)
     assert points[2].raw_bps == pytest.approx(
-        (w * backlogged_projection(events[1]) + backlogged_projection(events[2])) / (w + 1))
+        (w * _rates(events[1])[0] + _rates(events[2])[0]) / (w + 1))
     # After a silence longer than the window, only the event's own sample is left.
     late = _event(t=100_002, b=2)
-    assert estimate_capacity(events + [late])[3].raw_bps == backlogged_projection(late)
+    assert estimate_capacity(events + [late])[3].raw_bps == _rates(late)[0]
 
 
 # ---------------------------------------------------------------- estimator
@@ -309,18 +316,6 @@ def test_view_slice_is_a_view(minute, cut):
             assert all(np.shares_memory(a, b) for a, b in zip(part.columns, view.columns))
 
 
-def test_trace_item_assignment_writes_the_columns():
-    p = LinkProfile(24e6, 8, 12_000, OverheadModel(1_000, 200, 200))
-    events = generate_mac_trace(p, 10e6, 0.5, seed=4)
-    ev = _event(t=events[-2].time_us + 1, b=3, r=12e6, gap=1.5, user=2)
-    events[-1] = ev
-    assert events[-1] == ev and events[-1].time_us == ev.time_us
-    with pytest.raises(TypeError):
-        events[0] = _event(t=1.5)
-    with pytest.raises(IndexError):
-        events[len(events)] = ev
-
-
 def test_list_and_columns_take_one_kernel(minute):
     # A list of records is turned into columns on entry; its estimates are
     # the columnar trace's bit for bit.
@@ -339,6 +334,27 @@ def test_estimate_file_from_columns_matches_records(minute, tmp_path):
     write_estimates(points, str(tmp_path / "columns.csv"))
     write_estimates(list(points), str(tmp_path / "records.csv"))
     assert (tmp_path / "columns.csv").read_bytes() == (tmp_path / "records.csv").read_bytes()
+
+
+def test_trace_file_from_columns_matches_records(minute, tmp_path):
+    # The file csv.writer writes from each record's fields, for a one-station
+    # trace (no user column) and a two-station merge.
+    p = LinkProfile(72e6, 16, 12_000, OverheadModel(1_000, 200, 200))
+    merged = merge_user_streams(generate_mac_trace(p, 8e6, 0.5, seed=1, user=0),
+                                generate_mac_trace(p, 8e6, 0.5, seed=2, user=1))
+    for view, header in ((minute[0], "time_us,b,S_bits,R_bps,M,T_IA_us"),
+                         (merged, "time_us,b,S_bits,R_bps,M,T_IA_us,user")):
+        want = tmp_path / "want.csv"
+        with open(want, "w", newline="") as fh:
+            w = csv.writer(fh)
+            w.writerow(header.split(","))
+            for ev in view:
+                row = [ev.time_us, ev.batch_frames, ev.frame_bits, f"{ev.phy_rate_bps:.0f}",
+                       ev.max_batch, f"{ev.inter_ack_us:.3f}"]
+                w.writerow(row + [ev.user] if "user" in header else row)
+        for events in (view, list(view)):
+            write_mac_trace(events, str(tmp_path / "got.csv"))
+            assert (tmp_path / "got.csv").read_bytes() == want.read_bytes()
 
 
 def test_merge_takes_views_and_lists():
