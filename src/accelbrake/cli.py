@@ -86,16 +86,24 @@ def _write_failed(path: str, exc: OSError) -> int:
     return 2
 
 
-def _print_summary(text: str) -> int:
-    """Print a run's summary: 0, or 1 once the reader of stdout has gone."""
-    try:
-        print(text, flush=True)
-    except BrokenPipeError:
-        # As the Python docs advise for SIGPIPE: stdout goes to devnull, so
-        # the flush at exit raises no second error.
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
-        return 1
-    return 0
+class _Stdout:
+    """A command's stdout.  ``status`` is 0, or 1 once its reader has gone.
+
+    A closed pipe ends no command: what is left to print is dropped, and
+    the files the command was asked for are still written.
+    """
+
+    def __init__(self):
+        self.status = 0
+
+    def __call__(self, text: str) -> None:
+        try:
+            print(text, flush=True)
+        except BrokenPipeError:
+            # As the Python docs advise for SIGPIPE: stdout goes to devnull,
+            # so later lines and the flush at exit raise no second error.
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+            self.status = 1
 
 
 def _make_out_dir(path: str) -> None:
@@ -159,9 +167,10 @@ def _cmd_run(args) -> int:
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    out = _Stdout()
     if args.validate_only:
-        print(_describe(cfg, args.config))
-        return 0
+        out(_describe(cfg, args.config))
+        return out.status
 
     seeds = [cfg.seed if args.seed is None else args.seed]
     if args.seeds:
@@ -202,7 +211,8 @@ def _cmd_run(args) -> int:
             summary = _run_one(runs[0], out_for(runs[0].seed))
         except OSError as exc:
             return _write_failed(args.out, exc)
-        return _print_summary(summary)
+        out(summary)
+        return out.status
     from concurrent.futures import ProcessPoolExecutor
     # A fork pool starts all max_workers processes at the first submit.
     jobs = min(len(runs), args.jobs if args.jobs > 0 else os.cpu_count() or 1)
@@ -216,8 +226,8 @@ def _cmd_run(args) -> int:
             except OSError as exc:
                 status = _write_failed(args.out, exc)
                 continue
-            status = max(status, _print_summary(summary))
-    return status
+            out(summary)
+    return max(status, out.status)
 
 
 # ---------------------------------------------------------------------------
@@ -238,18 +248,19 @@ def _cmd_fluid(args) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    out = _Stdout()
     x_star = fixed_point_delay(params)
     ratio = params.delta_s / params.tau_s
-    print(f"drift {params.drift:+.4f} pkts/rtt per rtt, "
-          f"delta/tau {ratio:.3f} ({'stable' if params.stable else 'not provably stable'})")
-    print(f"fixed point: queue delay {x_star * 1000:.3f}ms, "
-          f"rate {fixed_point_rate(params) / 1e6:.3f} Mbit/s")
+    out(f"drift {params.drift:+.4f} pkts/rtt per rtt, "
+        f"delta/tau {ratio:.3f} ({'stable' if params.stable else 'not provably stable'})")
+    out(f"fixed point: queue delay {x_star * 1000:.3f}ms, "
+        f"rate {fixed_point_rate(params) / 1e6:.3f} Mbit/s")
     t_settle = settling_time(t, x, x_star)
     if t_settle is not None and t_settle < args.horizon_s:
-        print(f"settles within 1% at t={t_settle:.3f}s")
+        out(f"settles within 1% at t={t_settle:.3f}s")
     else:
-        print(f"does not settle within the {args.horizon_s:g}s horizon "
-              f"(final delay {x[-1] * 1000:.3f}ms)")
+        out(f"does not settle within the {args.horizon_s:g}s horizon "
+            f"(final delay {x[-1] * 1000:.3f}ms)")
     if args.out:
         import csv
         try:
@@ -259,8 +270,8 @@ def _cmd_fluid(args) -> int:
                 w.writerows(zip(map(float, t), map(float, x)))
         except OSError as exc:
             return _write_failed(args.out, exc)
-        print(f"trajectory written to {args.out} ({len(t)} points)")
-    return 0
+        out(f"trajectory written to {args.out} ({len(t)} points)")
+    return out.status
 
 
 # ---------------------------------------------------------------------------
@@ -269,6 +280,7 @@ def _cmd_fluid(args) -> int:
 
 def _cmd_wifi(args) -> int:
     from . import wifi
+    out = _Stdout()
     if args.generate:
         try:
             profile = wifi.LinkProfile(
@@ -287,14 +299,14 @@ def _cmd_wifi(args) -> int:
                   "lengthen --duration-s", file=sys.stderr)
             return 2
         truth = profile.true_capacity()
-        print(f"synthesized {len(events)} acknowledgments, "
-              f"true backlogged rate {truth / 1e6:.3f} Mbit/s")
+        out(f"synthesized {len(events)} acknowledgments, "
+            f"true backlogged rate {truth / 1e6:.3f} Mbit/s")
         if args.save_trace:
             try:
                 wifi.write_mac_trace(events, args.save_trace)
             except OSError as exc:
                 return _write_failed(args.save_trace, exc)
-            print(f"trace written to {args.save_trace}")
+            out(f"trace written to {args.save_trace}")
     else:
         try:
             events = wifi.read_mac_trace(args.trace)
@@ -308,13 +320,13 @@ def _cmd_wifi(args) -> int:
     def print_estimate(points, label=""):
         if not points:
             # Per user, a station's first acknowledgment only starts its clock.
-            print(f"{label}no estimate (fewer than two acknowledgments)")
+            out(f"{label}no estimate (fewer than two acknowledgments)")
             return
         tail = points[len(points) // 3:] or points
         mean = sum(p.capped_bps for p in tail) / len(tail)
         capped = sum(1 for p in tail if p.capped_bps < p.raw_bps) / len(tail)
-        print(f"{label}estimate {mean / 1e6:.3f} Mbit/s over the last two thirds "
-              f"({capped:.0%} of samples limited by the current-rate cap)")
+        out(f"{label}estimate {mean / 1e6:.3f} Mbit/s over the last two thirds "
+            f"({capped:.0%} of samples limited by the current-rate cap)")
 
     try:
         window_us = int(round(args.window_ms * 1000))
@@ -336,8 +348,8 @@ def _cmd_wifi(args) -> int:
             wifi.write_estimates(points, args.out)
         except OSError as exc:
             return _write_failed(args.out, exc)
-        print(f"estimates written to {args.out}")
-    return 0
+        out(f"estimates written to {args.out}")
+    return out.status
 
 
 def main(argv=None) -> int:

@@ -270,7 +270,7 @@ class Simulation:
                 router = DroptailRouter(hop.hop_id, hop.buffer_pkts, hop.ecn_threshold_pkts)
             self.routers.append(router)
             self._busy.append(False)
-            stats = self.log.hop_stats[hop.hop_id] = HopStats()
+            stats = self.log.add_hop(hop.hop_id)
             self._hops.append((hop, stats))
 
         self.flows: dict[str, _FlowRuntime] = {}

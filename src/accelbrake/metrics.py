@@ -8,17 +8,26 @@ figures in ``report``, digest its packet timeline in ``timeline_digest``
 (``first_divergence`` finds where two timelines part), and write the
 CSV/summary artifacts for a run.
 
-Deliveries are stored by column, so a row costs a few machine words
+Deliveries are stored by column, each value in the narrowest unsigned
+type its range allows, so a row costs 36 bytes at one hop and 44 at two
 instead of a record, a tuple per hop and an int object per stamp:
 
-- ``flow_ids`` (a list of the senders' own ``str`` objects), ``seqs``,
-  ``sizes``, ``send_times`` and ``deliver_times`` (``array('q')``) hold
-  one entry per delivered packet, in delivery order.
-- Each hop's ``HopStats`` holds that hop's ``enqueue_times`` and
-  ``dequeue_times``, one entry per delivered packet in the same order.
+- ``flow_ids`` is a list of the senders' own ``str`` objects (8 bytes a
+  row), ``seqs`` an ``array('Q')`` (nothing bounds a seq below 2**32) and
+  ``sizes`` an ``array('I')`` (a size is at most the MTU).
+- ``send_times`` and ``deliver_times``, and each hop's ``enqueue_times``
+  and ``dequeue_times`` in its ``HopStats``, hold stamps.  A run stamps
+  nothing after its duration, so they are ``array('I')`` when
+  ``duration_us < 2**32`` (71.6 simulated minutes) and ``array('Q')``
+  otherwise.  ``MetricsLog`` makes that choice once and builds every
+  hop's columns in ``add_hop``; a ``HopStats()`` built alone has 4-byte
+  columns.
+- Every column holds one entry per delivered packet, in delivery order.
   Paths are single: every delivered packet crossed every hop, in the
   order of ``hop_stats`` (the path order, filled in before the first
   delivery), so row ``i``'s stamp at a hop is entry ``i`` of its columns.
+  A value its column cannot hold raises ``OverflowError`` and leaves the
+  log as it was.
 
 The statistics read the columns directly.  ``MetricsLog.deliveries`` is a
 read-only sequence of ``DeliveryRecord`` built from the columns one
@@ -40,7 +49,7 @@ import os
 from array import array
 from collections import Counter
 from collections.abc import Mapping, Sequence
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass, field
 from functools import partial
 from itertools import zip_longest
 from typing import Iterable, Optional
@@ -78,8 +87,14 @@ class HopStats:
 
     opportunity_bytes: float = 0.0
     dequeued_bytes: int = 0
-    enqueue_times: array = field(default_factory=partial(array, "q"), init=False, repr=False)
-    dequeue_times: array = field(default_factory=partial(array, "q"), init=False, repr=False)
+    # The stamps' typecode; ``MetricsLog.add_hop`` passes the log's.
+    stamp_type: InitVar[str] = "I"
+    enqueue_times: array = field(init=False, repr=False)
+    dequeue_times: array = field(init=False, repr=False)
+
+    def __post_init__(self, stamp_type: str):
+        self.enqueue_times = array(stamp_type)
+        self.dequeue_times = array(stamp_type)
 
 
 @dataclass
@@ -93,16 +108,25 @@ class MetricsLog:
     router_samples: dict = field(default_factory=dict)  # hop -> [(t, queue, f, tr, cr, x_us, token, mark)]
     # Delivery columns; the layout is in the module docstring.
     flow_ids: list = field(default_factory=list, init=False, repr=False)
-    seqs: array = field(default_factory=partial(array, "q"), init=False, repr=False)
-    sizes: array = field(default_factory=partial(array, "q"), init=False, repr=False)
-    send_times: array = field(default_factory=partial(array, "q"), init=False, repr=False)
-    deliver_times: array = field(default_factory=partial(array, "q"), init=False, repr=False)
+    seqs: array = field(default_factory=partial(array, "Q"), init=False, repr=False)
+    sizes: array = field(default_factory=partial(array, "I"), init=False, repr=False)
+    send_times: array = field(init=False, repr=False)
+    deliver_times: array = field(init=False, repr=False)
 
     def __post_init__(self):
+        # Every stamp of a run is at most its duration.
+        self._stamp_type = "I" if self.duration_us < 1 << 32 else "Q"
+        self.send_times = array(self._stamp_type)
+        self.deliver_times = array(self._stamp_type)
         # Every row column's append, bound once: a delivery then looks up
         # one attribute instead of five.  The columns are never replaced.
         self._appends = (self.flow_ids.append, self.seqs.append, self.sizes.append,
                          self.send_times.append, self.deliver_times.append)
+
+    def add_hop(self, hop_id: str) -> HopStats:
+        """Add the next hop of the path, with stamp columns as wide as the log's."""
+        self.hop_stats[hop_id] = stats = HopStats(stamp_type=self._stamp_type)
+        return stats
 
     def record_delivery(self, flow_id: str, seq: int, size_bytes: int,
                         send_time: SimTime, deliver_time: SimTime, hops) -> None:
@@ -110,24 +134,37 @@ class MetricsLog:
 
         ``hops`` is flat: ``enqueue_time, dequeue_time`` for every hop of
         ``hop_stats``, in path order (the layout of ``Packet.hop_trace``).
-        Any other number of stamps raises ValueError, and nothing is
-        appended.
+        Any other number of stamps raises ValueError, a value its column
+        cannot hold (a negative one, or a stamp past the log's width)
+        raises OverflowError, and either way nothing is appended.
         """
         path = self.hop_stats.values()
         if len(hops) != 2 * len(path):
             raise ValueError(f"a delivery needs 2 stamps for each of {len(path)} hops, "
                              f"got {len(hops)}")
         add_flow, add_seq, add_size, add_send, add_deliver = self._appends
-        add_flow(flow_id)
-        add_seq(seq)
-        add_size(size_bytes)
-        add_send(send_time)
-        add_deliver(deliver_time)
-        k = 0
-        for stats in path:
-            stats.enqueue_times.append(hops[k])
-            stats.dequeue_times.append(hops[k + 1])
-            k += 2
+        try:
+            add_flow(flow_id)
+            add_seq(seq)
+            add_size(size_bytes)
+            add_send(send_time)
+            add_deliver(deliver_time)
+            k = 0
+            for stats in path:
+                stats.enqueue_times.append(hops[k])
+                stats.dequeue_times.append(hops[k + 1])
+                k += 2
+        except BaseException:
+            # The append that raised left its column, and the ones after
+            # it, at the row count from before the call: cut back to it.
+            columns = [self.flow_ids, self.seqs, self.sizes, self.send_times,
+                       self.deliver_times]
+            for stats in path:
+                columns += (stats.enqueue_times, stats.dequeue_times)
+            rows = min(map(len, columns))
+            for column in columns:
+                del column[rows:]
+            raise
 
     def record_drop(self, rec: DropRecord) -> None:
         self.drops.append(rec)

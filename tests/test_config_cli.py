@@ -379,19 +379,60 @@ def test_cli_sweep_into_closed_pipe_exits_1(quick_scenario, tmp_path):
     # writes its directory.  One worker runs the seeds in turn, so the
     # second summary is printed well after the pipe is closed.
     out_dir = tmp_path / "sweep"
-    env = dict(os.environ)
-    src = str(Path(accelbrake.__file__).resolve().parent.parent)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     proc = subprocess.Popen(
         [sys.executable, "-m", "accelbrake.cli", "run", "--config", quick_scenario,
          "--seeds", "1,2", "--jobs", "1", "--duration", "5", "--out", str(out_dir)],
-        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env, text=True)
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=_cli_env(), text=True)
     assert proc.stdout.readline().startswith("seed 1:")
     proc.stdout.close()
     _, err = proc.communicate(timeout=120)
     assert proc.returncode == 1
     assert "None" not in err and "Traceback" not in err, err
     assert (out_dir / "seed_2" / "summary.txt").exists()
+
+
+def _cli_env():
+    """The environment for ``python -m accelbrake.cli``, with this package first."""
+    env = dict(os.environ)
+    src = str(Path(accelbrake.__file__).resolve().parent.parent)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return env
+
+
+def _cli_into_closed_pipe(args):
+    """Run the CLI with stdout on a pipe whose reader closed before it started."""
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        return subprocess.run([sys.executable, "-m", "accelbrake.cli", *args],
+                              stdout=write_end, stderr=subprocess.PIPE, env=_cli_env(),
+                              text=True, timeout=120)
+    finally:
+        os.close(write_end)
+
+
+@pytest.mark.parametrize("command, files", [
+    (["fluid", "--horizon-s", "2"], ["--out"]),
+    (["wifi-estimate", "--generate", "--duration-s", "1"], ["--save-trace", "--out"]),
+])
+def test_companion_command_into_closed_pipe_exits_1(tmp_path, command, files):
+    # As in `accelbrake fluid | (exec 0<&-; true)`: the first line finds no
+    # reader.  The command exits 1 without a traceback, and still writes
+    # every file it was asked for, the same bytes as with a reader.
+    def with_files(tag):
+        args = list(command)
+        for flag in files:
+            args += [flag, str(tmp_path / f"{tag}{flag}.csv")]
+        return args
+
+    proc = _cli_into_closed_pipe(with_files("closed"))
+    assert proc.returncode == 1
+    assert "Traceback" not in proc.stderr, proc.stderr
+    assert main(with_files("read")) == 0
+    for flag in files:
+        written = (tmp_path / f"closed{flag}.csv").read_bytes()
+        assert written.count(b"\n") > 100
+        assert written == (tmp_path / f"read{flag}.csv").read_bytes()
 
 
 # sha256 of stdout and of summary.txt for `run --duration 2 --out D` on each

@@ -137,6 +137,30 @@ def test_hop_traces_cover_path():
     assert rec.send_time <= enq1 <= deq1 <= enq2 <= deq2 <= rec.deliver_time
 
 
+def test_stamps_past_four_bytes_read_back_exactly():
+    # A run longer than 2**32 us keeps 8-byte stamps.  Nothing in this run
+    # depends on absolute time but the routers' 100 ms weight updates, so
+    # moving the flow's start by whole intervals moves every stamp by as much.
+    def run(start_us):
+        topo = Topology(
+            hops=[HopSpec("btl", FixedLink(24e6))],
+            flows=[FlowSpec("abc0", "abc", start_us=start_us,
+                            fwd_delay_us=5_000, rev_delay_us=15_000)],
+        )
+        return Simulation(topo, duration_us=start_us + 3_000_000, seed=0).run()
+
+    start = 2**32 + 1_000
+    shift = start - start % 100_000
+    late, early = run(start), run(start - shift)
+    assert len(late.deliveries) == len(early.deliveries) > 1_000
+    assert late.deliveries[0].send_time == start
+    for got, want in zip(late.deliveries, early.deliveries):
+        assert (got.flow_id, got.seq, got.size_bytes) == (want.flow_id, want.seq, want.size_bytes)
+        assert got.send_time - shift == want.send_time
+        assert got.deliver_time - shift == want.deliver_time
+        assert tuple((hop, enq - shift, deq - shift) for hop, enq, deq in got.hops) == want.hops
+
+
 def test_topology_validation_errors():
     hop = HopSpec("h", FixedLink(1e6))
     with pytest.raises(ValueError, match="at least one hop"):

@@ -2,9 +2,11 @@
 
 Memory traced across ``run()``, divided by the packets delivered, covers
 the delivery log plus whatever else a run keeps (short flows' state, the
-heap, queued packets).  With the column-oriented log it measures about
-90-105 B per delivery on both scenarios below; a log of one record and
-one tuple per hop per delivery measured 380-500 B.
+heap, queued packets).  With the column-oriented log, its stamps and
+sizes in 4-byte unsigned columns, it measures about 66 B per delivery on
+both scenarios below.  The same columns as 8-byte signed ``array('q')``
+measured 86 (coexist_shorts) and 96 B (serial_bottlenecks), and a log of
+one record and one tuple per hop per delivery 380-500 B.
 
 A finished short flow leaves ``Simulation.flows``, so 8 s of
 coexist_shorts ends with a few dozen runtimes instead of 1,919.  The
@@ -37,7 +39,7 @@ from accelbrake.metrics import report
 from accelbrake.wifi import LinkProfile, estimate_capacity, generate_mac_trace
 
 SCENARIO_DIR = Path(__file__).resolve().parent.parent / "scenarios"
-MAX_BYTES_PER_DELIVERY = 200
+MAX_BYTES_PER_DELIVERY = 80
 MAX_FLOWS_AFTER_8S = 100
 MAX_REPORT_BYTES_PER_STAMP = 16
 MAX_ESTIMATOR_WORKING_BYTES = 1 << 20

@@ -76,6 +76,55 @@ def test_delivery_needs_one_stamp_pair_per_hop():
     assert log.deliveries[0].hops == (("a", 0, 500), ("b", 600, 800))
 
 
+def _column_contents(log):
+    return [list(col) for col in (log.flow_ids, log.seqs, log.sizes, log.send_times,
+                                  log.deliver_times,
+                                  *(c for stats in log.hop_stats.values()
+                                    for c in (stats.enqueue_times, stats.dequeue_times)))]
+
+
+def test_column_widths_follow_the_duration():
+    log = MetricsLog(duration_us=2**32 - 1)
+    log.add_hop("a")
+    log.add_hop("b")
+    assert list(log.hop_stats) == ["a", "b"]
+    narrow = [log.sizes, log.send_times, log.deliver_times, HopStats().enqueue_times] + [
+        c for stats in log.hop_stats.values() for c in (stats.enqueue_times, stats.dequeue_times)]
+    assert {(c.typecode, c.itemsize) for c in narrow} == {("I", 4)}
+    assert log.seqs.typecode == "Q"
+    _deliver(log, "f", 0, 900, [(0, 500), (600, 2**32 - 1)])
+
+    # A longer run gets 8-byte stamps; sizes stay 4 bytes.
+    wide = MetricsLog(duration_us=2**32)
+    stats = wide.add_hop("a")
+    assert wide.hop_stats["a"] is stats
+    assert {c.typecode for c in (wide.send_times, wide.deliver_times,
+                                 stats.enqueue_times, stats.dequeue_times)} == {"Q"}
+    assert wide.sizes.typecode == "I"
+    _deliver(wide, "f", 0, 2**40, [(2**33, 2**34)], send=2**32)
+    assert wide.deliveries[0].hops == (("a", 2**33, 2**34),)
+
+
+@pytest.mark.parametrize("seq, stamps", [
+    (1, [(0, 500), (600, 2**32)]),    # a stamp past 4 bytes, at the last column
+    (1, [(2**32, 500), (600, 800)]),  # ... at the first hop
+    (-1, [(0, 500), (600, 800)]),     # a negative seq, before any stamp
+    (1, [(0, 500), (600, "800")]),    # not an int
+])
+def test_refused_delivery_appends_nothing(seq, stamps):
+    log = MetricsLog(duration_us=1_000_000)
+    log.add_hop("a")
+    log.add_hop("b")
+    _deliver(log, "f", 0, 900, [(0, 500), (600, 800)])
+    before = _column_contents(log)
+    with pytest.raises((OverflowError, TypeError)):
+        _deliver(log, "g", seq, 1_000, stamps)
+    assert _column_contents(log) == before
+    _deliver(log, "g", 1, 1_000, [(0, 500), (600, 800)])
+    assert len(log.deliveries) == 2
+    assert log.deliveries[1].hops == (("a", 0, 500), ("b", 600, 800))
+
+
 def test_report_percentiles_per_hop():
     log = _two_hop_log()
     _deliver(log, "f", 0, 900, [(0, 500), (600, 800)])
