@@ -31,8 +31,9 @@ def _build_parser() -> argparse.ArgumentParser:
     run = sub.add_parser("run", help="simulate a YAML scenario")
     run.add_argument("--config", required=True, help="scenario file")
     run.add_argument("--out", help="directory for summary and per-flow/per-hop CSVs")
-    run.add_argument("--seed", type=int, help="override the scenario seed")
-    run.add_argument("--seeds", help="comma-separated seed sweep, e.g. 1,2,3")
+    seed = run.add_mutually_exclusive_group()
+    seed.add_argument("--seed", type=int, help="override the scenario seed")
+    seed.add_argument("--seeds", help="comma-separated seed sweep, e.g. 1,2,3")
     run.add_argument("--duration", type=float, help="override duration (seconds)")
     run.add_argument("--jobs", type=int, default=0,
                      help="worker processes for a seed sweep (default: one per seed)")
@@ -182,6 +183,11 @@ def _cmd_run(args) -> int:
         if not seeds:
             print("error: --seeds is empty", file=sys.stderr)
             return 2
+        # Two runs of one seed would write the same seed_<n> directory.
+        for i, seed in enumerate(seeds):
+            if seed in seeds[:i]:
+                print(f"error: --seeds repeats seed {seed}", file=sys.stderr)
+                return 2
     # The overrides obey the same rules as the file's own values, and each
     # run gets the config checked here rather than reading the file again.
     try:

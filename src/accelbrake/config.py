@@ -212,10 +212,8 @@ def parse_scenario(data: dict, base_dir: str = ".") -> ScenarioConfig:
         ("buffer_pkts", "buffer_pkts", int, None),
         ("abc_params", "abc_params", dict,
          lambda sec: _build(AbcParams, sec, _ABC, **dataclasses.asdict(base))),
-        ("oracle_window_ms", "oracle_window_us", float, _ms),
         ("ecn_threshold_pkts", "ecn_threshold_pkts", int, None),
         ("delay_to_next_ms", "delay_to_next_us", float, _ms),
-        ("initial_weight", "initial_weight", float, None),
     ]
     hops = [_build(HopSpec, _Section(h, f"scenario.hops[{i}]"), hop_table, abc_params=base)
             for i, h in enumerate(root.get("hops", list, required=True))]

@@ -7,9 +7,11 @@ firing at the same microsecond are processed in scheduling order, and
 all randomness (short-flow arrivals) comes from one seeded generator, so
 two runs with the same seed produce identical logs.
 
-The packets a sender emits at one instant (a send burst) reach hop 0
-as one event, whose handler runs their arrivals in order.  Pushed one
-by one they would hold consecutive places in the event order, and
+Packets reach a hop through one handler, ``_on_arrive(hop_idx, pkts)``,
+which enqueues each of ``pkts`` in order.  The packets a sender emits at
+one instant (a send burst) reach hop 0 as one such event; a packet
+forwarded from the hop before arrives as a 1-tuple.  Pushed one by one,
+a burst's packets would hold consecutive places in the event order, and
 every event an arrival pushes comes later in it, so nothing could run
 between them either way: the handlers run in the same order.
 
@@ -27,11 +29,11 @@ reaction and dispatch in order.  The argument is the send burst's: the
 ACKs would hold consecutive places in the event order, and everything
 the first one's reaction pushes comes later in it than the second.
 
-Each packet-path handler (``_on_send``, ``_on_arrive``, ``_on_dequeue``,
-``_on_deliver``, ``_on_ack``) does its engine work in its own frame.  It
-calls out only to the router, the link, the sender, the receiver and the
-metrics log, and to the rarer paths: waking an idle hop, a drop and a
-short flow's retirement.
+Each packet-path handler (``_on_arrive``, ``_on_dequeue``, ``_on_deliver``,
+``_on_ack``) does its engine work in its own frame.  It calls out only to
+the router, the link, the sender, the receiver and the metrics log, and
+to the rarer paths: waking an idle hop, a drop and a short flow's
+retirement.
 
 ACK clocking is emergent: the engine never paces a sender directly, it
 only delivers ACKs; transmissions happen when a window opens.
@@ -78,11 +80,9 @@ class HopSpec:
     kind: str = "abc"  # "abc" | "droptail"
     buffer_pkts: int = 250
     abc_params: AbcParams = field(default_factory=AbcParams)
-    oracle_window_us: SimTime = 20_000
     ecn_threshold_pkts: Optional[int] = None
     fixed_fraction: Optional[float] = None
     delay_to_next_us: SimTime = 0
-    initial_weight: float = 1.0
 
     def validate(self) -> None:
         _check_id("hop_id", self.hop_id)
@@ -92,9 +92,8 @@ class HopSpec:
             raise ValueError("ecn_threshold_pkts: only valid on droptail hops")
         if self.fixed_fraction is not None and self.kind != "abc":
             raise ValueError("fixed_fraction: only valid on abc hops")
-        check_fields(self, buffer_pkts=">= 1", oracle_window_us="> 0",
-                     ecn_threshold_pkts=">= 1", fixed_fraction=(">= 0", "<= 1"),
-                     delay_to_next_us=">= 0", initial_weight=(">= 0", "<= 1"))
+        check_fields(self, buffer_pkts=">= 1", ecn_threshold_pkts=">= 1",
+                     fixed_fraction=(">= 0", "<= 1"), delay_to_next_us=">= 0")
         try:
             self.abc_params.validate()
         except ValueError as exc:
@@ -239,7 +238,6 @@ class Simulation:
         self._rng = random.Random(seed)
         # The per-packet handlers, bound once: a push then allocates no
         # bound method.  A subclass's override is what gets bound.
-        self._on_send = self._on_send
         self._on_arrive = self._on_arrive
         self._on_dequeue = self._on_dequeue
         self._on_deliver = self._on_deliver
@@ -257,11 +255,12 @@ class Simulation:
         self._hops: list[tuple[HopSpec, HopStats]] = []
         for hop in topology.hops:
             if hop.kind == "abc":
+                # The capacity oracle averages over the window of the
+                # dequeue rate it is compared with.
                 router = AbcRouter(hop.hop_id, hop.abc_params,
-                                   OracleRateView(hop.link, hop.oracle_window_us),
+                                   OracleRateView(hop.link, hop.abc_params.rate_window_us),
                                    buffer_pkts=hop.buffer_pkts,
                                    fixed_fraction=hop.fixed_fraction,
-                                   initial_weight=hop.initial_weight,
                                    log_rows=log_router_rows)
                 if log_router_rows:
                     self.log.router_samples[hop.hop_id] = router.rows
@@ -343,28 +342,18 @@ class Simulation:
 
     # -- packet path ----------------------------------------------------------
 
-    def _on_send(self, pkts: list[Packet]) -> None:
-        """A send burst reaches hop 0: each packet arrives, in order.
-
-        This is ``_on_arrive`` at hop 0 for every packet of the burst, in
-        one frame.
-        """
+    def _on_arrive(self, hop_idx: int, pkts) -> None:
+        """Packets reach a hop, each in order: a send burst at hop 0, or
+        one packet forwarded from the hop before, as a 1-tuple."""
         now = self.now
-        enqueue = self.routers[0].enqueue
+        enqueue = self.routers[hop_idx].enqueue
         busy = self._busy
         for pkt in pkts:
             victim = enqueue(pkt, now)
-            if victim is not pkt and not busy[0]:
-                self._schedule_dequeue(0)
+            if victim is not pkt and not busy[hop_idx]:
+                self._schedule_dequeue(hop_idx)
             if victim is not None:
-                self._drop(0, victim)
-
-    def _on_arrive(self, hop_idx: int, pkt: Packet) -> None:
-        victim = self.routers[hop_idx].enqueue(pkt, self.now)
-        if victim is not pkt and not self._busy[hop_idx]:
-            self._schedule_dequeue(hop_idx)
-        if victim is not None:
-            self._drop(hop_idx, victim)
+                self._drop(hop_idx, victim)
 
     def _drop(self, hop_idx: int, victim: Packet) -> None:
         """Log a packet the hop's queue refused or pushed out."""
@@ -400,7 +389,7 @@ class Simulation:
         arrival = now + hop.delay_to_next_us
         deliver_now = False
         if hop_idx + 1 < len(self.routers):
-            heappush(heap, (arrival, next(counter), self._on_arrive, (hop_idx + 1, pkt)))
+            heappush(heap, (arrival, next(counter), self._on_arrive, (hop_idx + 1, (pkt,))))
         elif arrival == now and not (heap and heap[0][0] <= now):
             # No other event is due at now, so the delivery pushed here
             # would be the next one popped: run it below, after this
@@ -454,7 +443,8 @@ class Simulation:
             pkts = sender.on_ack(ack, now)
             if pkts:
                 runtime.live += len(pkts)
-                heappush(heap, (now + runtime.fwd_delay_us, next(counter), self._on_send, (pkts,)))
+                heappush(heap, (now + runtime.fwd_delay_us, next(counter),
+                                self._on_arrive, (0, pkts)))
             if sender.unacked and not runtime.rto_armed:
                 runtime.rto_armed = True
                 heappush(heap, (now + runtime.rto_us, next(counter), self._on_rto, (runtime,)))
@@ -466,7 +456,7 @@ class Simulation:
         if pkts:
             runtime.live += len(pkts)
             heappush(self._heap, (self.now + runtime.fwd_delay_us, next(self._counter),
-                                  self._on_send, (pkts,)))
+                                  self._on_arrive, (0, pkts)))
         if runtime.sender.unacked and not runtime.rto_armed:
             runtime.rto_armed = True
             self._push(self.now + runtime.rto_us, self._on_rto, (runtime,))
@@ -536,16 +526,15 @@ class Simulation:
         """Packet conservation snapshot: sent = delivered + dropped + queued + in flight.
 
         ``sent`` includes the packets of short flows already retired from
-        ``flows``; ``in_flight`` is counted from the event heap, where a
-        send burst holds several packets.
+        ``flows``; ``in_flight`` is counted from the event heap, where an
+        arrival holds one or more packets.
         """
         queued = sum(r.backlog() for r in self.routers)
-        moving = (self._on_arrive, self._on_deliver)
         in_flight = 0
         for _, _, handler, args in self._heap:
-            if handler == self._on_send:
-                in_flight += len(args[0])
-            elif handler in moving:
+            if handler == self._on_arrive:
+                in_flight += len(args[1])
+            elif handler == self._on_deliver:
                 in_flight += 1
         return {
             "sent": self._retired_sent + sum(rt.sender.next_seq for rt in self.flows.values()),

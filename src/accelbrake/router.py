@@ -32,9 +32,10 @@ from typing import Optional
 from .core import ACCEL, BRAKE, MTU_BYTES, Packet, SimTime, US_PER_S, check_fields
 from .topk import SpaceSavingSketch
 
+# The names router rows give the two queues.  Inside AbcRouter a queue is
+# its index: 0 for the ABC queue, 1 for the legacy one.
 ABC_QUEUE = "abc"
 LEGACY_QUEUE = "legacy"
-_TAGS = (ABC_QUEUE, LEGACY_QUEUE)  # the order of AbcRouter._queues
 
 
 @dataclass
@@ -168,15 +169,16 @@ class AbcRouter:
     legacy queue.  The two queues share one buffer of ``buffer_pkts`` and
     are served by deficit round-robin: each visit grants a queue
     ``weight * QUANTUM_BYTES`` bytes of deficit, where the ABC queue's
-    weight is ``weight_abc`` and the legacy queue's the rest.  The
-    scheduler is work-conserving: a lone backlogged queue is always served
-    regardless of its weight.  With both queues backlogged, service
-    converges to the weight split within one packet.
+    weight is ``weight_abc`` (1.0 at the start) and the legacy queue's the
+    rest.  The scheduler is work-conserving: a lone backlogged queue is
+    always served regardless of its weight.  With both queues backlogged,
+    service converges to the weight split within one packet.
 
     ``capacity_view`` supplies the link rate estimate mu(t) (an oracle over
-    the attached link).  ``fixed_fraction`` pins the marking fraction
-    instead of deriving it from rates, which is useful for controlled
-    experiments on the marking machinery itself.
+    the attached link; the engine's averages over ``rate_window_us``, the
+    window of the dequeue rate it is compared with).  ``fixed_fraction``
+    pins the marking fraction instead of deriving it from rates, which is
+    useful for controlled experiments on the marking machinery itself.
     """
 
     # An arrival is accepted only while its queue is shorter than this
@@ -189,12 +191,10 @@ class AbcRouter:
 
     def __init__(self, hop_id: str, params: AbcParams, capacity_view,
                  buffer_pkts: int = 250, fixed_fraction: Optional[float] = None,
-                 initial_weight: float = 1.0, log_rows: bool = False):
+                 log_rows: bool = False):
         params.validate()
         if fixed_fraction is not None and not 0 <= fixed_fraction <= 1:
             raise ValueError(f"fixed fraction must be in [0, 1], got {fixed_fraction}")
-        if not 0 <= initial_weight <= 1:
-            raise ValueError(f"initial weight must be in [0, 1], got {initial_weight}")
         if buffer_pkts < 1:
             raise ValueError(f"buffer capacity must be at least 1 packet, got {buffer_pkts}")
         self.hop_id = hop_id
@@ -202,10 +202,10 @@ class AbcRouter:
         self.capacity_view = capacity_view
         self.fixed_fraction = fixed_fraction
         self.buffer_pkts = buffer_pkts
-        self.weight_abc = initial_weight
-        # The ABC and legacy queues of (packet, enqueue time), indexed like
-        # _TAGS, with their deficits; _ptr is the index of the queue the
-        # round-robin visits next.
+        self.weight_abc = 1.0
+        # Every per-queue structure is indexed by queue: 0 is the ABC queue,
+        # 1 the legacy one.  The queues hold (packet, enqueue time); _ptr is
+        # the index of the queue the round-robin visits next.
         self._queues = (deque(), deque())
         self._deficit = [0.0, 0.0]
         self._ptr = 0
@@ -220,16 +220,18 @@ class AbcRouter:
         self.rows: list[tuple] = []
         # (time, ABC queue weight): the initial weight, then one entry per
         # update_weights call.
-        self.weight_log: list[tuple] = [(0, initial_weight)]
-        self._sketches = {t: SpaceSavingSketch(params.sketch_size) for t in (ABC_QUEUE, LEGACY_QUEUE)}
+        self.weight_log: list[tuple] = [(0, self.weight_abc)]
+        self._sketches = (SpaceSavingSketch(params.sketch_size),
+                          SpaceSavingSketch(params.sketch_size))
         self._last_weight_update: SimTime = 0
         # Recent per-flow rate samples, one per weight interval.  A flow's
         # demand is its *peak* over the last few intervals: a loss-cycling
         # legacy flow still wants its pre-cut rate while it recovers, and
         # averaging the dips would hand its share away for good.
-        self._rate_hist: dict[tuple[str, str], deque] = {}
+        # Keyed by (queue, flow id).
+        self._rate_hist: dict[tuple[int, str], deque] = {}
         self._epoch = 0
-        self._shorts_ewma = {ABC_QUEUE: 0.0, LEGACY_QUEUE: 0.0}
+        self._shorts_ewma = [0.0, 0.0]
 
     def enqueue(self, pkt: Packet, now: SimTime) -> Optional[Packet]:
         """Queue a packet; returns the dropped packet on overflow, else None."""
@@ -249,7 +251,7 @@ class AbcRouter:
         """Serve one packet: mark it if it is ABC traffic, account its bytes."""
         abc, legacy = self._queues
         if abc and legacy:
-            tag, pkt, enqueued_at = self._round_robin()
+            idx, pkt, enqueued_at = self._round_robin()
         else:
             # Work conservation: serve the lone busy queue and restart the
             # round cleanly so no credit is banked across idle periods.
@@ -257,18 +259,16 @@ class AbcRouter:
             deficit[0] = deficit[1] = 0.0
             self._fresh_visit = True
             if abc:
-                self._ptr = 1
-                tag = ABC_QUEUE
-                pkt, enqueued_at = abc.popleft()
+                idx, q = 0, abc
             elif legacy:
-                self._ptr = 0
-                tag = LEGACY_QUEUE
-                pkt, enqueued_at = legacy.popleft()
+                idx, q = 1, legacy
             else:
                 raise IndexError("dequeue from an empty dual queue")
+            self._ptr = idx ^ 1
+            pkt, enqueued_at = q.popleft()
         size = pkt.size_bytes
-        self._sketches[tag].record(pkt.flow_id, size)
-        if tag == ABC_QUEUE:
+        self._sketches[idx].record(pkt.flow_id, size)
+        if idx == 0:
             sojourn_us = now - enqueued_at
             # The dequeue rate: add these bytes, then evict every entry at
             # or before now - window.  The entry just added is newer than
@@ -291,17 +291,18 @@ class AbcRouter:
                 fraction = accel_fraction(target, current)
             self.marker.mark(pkt, fraction)
             if self.log_rows:
-                self.rows.append((now, tag, round(fraction, 6), round(target, 1),
+                self.rows.append((now, ABC_QUEUE, round(fraction, 6), round(target, 1),
                                   round(current, 1), sojourn_us,
                                   round(self.marker.token, 6), pkt.ecn.name))
         elif self.log_rows:
-            self.rows.append((now, tag, "", "", "", now - enqueued_at, "", pkt.ecn.name))
+            self.rows.append((now, LEGACY_QUEUE, "", "", "", now - enqueued_at, "",
+                              pkt.ecn.name))
         return pkt, enqueued_at
 
-    def _round_robin(self) -> tuple[str, Packet, SimTime]:
+    def _round_robin(self) -> tuple[int, Packet, SimTime]:
         """Serve whichever of two backlogged queues deficit round-robin picks.
 
-        Returns (queue tag, packet, enqueue time).
+        Returns (queue index, packet, enqueue time).
         """
         deficit = self._deficit
         while True:
@@ -315,7 +316,7 @@ class AbcRouter:
             if deficit[idx] >= size:
                 deficit[idx] -= size
                 pkt, enq = q.popleft()
-                return _TAGS[idx], pkt, enq
+                return idx, pkt, enq
             self._ptr ^= 1
             self._fresh_visit = True
 
@@ -340,24 +341,23 @@ class AbcRouter:
         capacity = self.capacity_view.capacity(now)
         alpha = self.params.demand_smoothing
         hist = self._rate_hist
-        epoch_bytes = {}  # per queue: its sketch's counters sum to them (see topk)
-        for tag in (ABC_QUEUE, LEGACY_QUEUE):
-            sketch = self._sketches[tag]
+        epoch_bytes = [0, 0]  # per queue: its sketch's counters sum to them (see topk)
+        for idx, sketch in enumerate(self._sketches):
             counts, errors = sketch.counts(), sketch.errors()
-            epoch_bytes[tag] = sum(counts.values())
+            epoch_bytes[idx] = sum(counts.values())
             for flow_id, rate in sketch.top_rates(interval):
                 # A counter dominated by inherited error is a churn artifact
                 # (many short flows recycled through the same slot), not a
                 # long flow; its bytes belong with the short-flow aggregate.
                 if errors[flow_id] > counts[flow_id] / 2:
                     continue
-                hist.setdefault((tag, flow_id), deque()).append(
+                hist.setdefault((idx, flow_id), deque()).append(
                     (self._epoch, rate))
         self._epoch += 1
         horizon = self._epoch - self.params.demand_memory
-        line_sum = {ABC_QUEUE: 0.0, LEGACY_QUEUE: 0.0}
+        line_sum = [0.0, 0.0]
         demands: list[float] = []
-        owners: list[str] = []
+        owners: list[int] = []
         for key in sorted(hist):
             samples = hist[key]
             while samples and samples[0][0] < horizon:
@@ -373,34 +373,32 @@ class AbcRouter:
             # sketch) keeps claiming its pre-dip share.
             if len(samples) < 2:
                 continue
-            tag, _flow = key
+            idx, _flow = key
             demands.append(peak * (1.0 + self.params.demand_headroom))
-            owners.append(tag)
+            owners.append(idx)
             if samples[-1][0] == self._epoch - 1:
-                line_sum[tag] += samples[-1][1]
-        for tag in (ABC_QUEUE, LEGACY_QUEUE):
-            total = epoch_bytes[tag] * 8 * US_PER_S / interval
-            agg = self._shorts_ewma[tag]
-            residue = max(0.0, total - line_sum[tag])
-            self._shorts_ewma[tag] = (
-                residue if agg == 0.0 else (1 - alpha) * agg + alpha * residue)
-            self._sketches[tag].clear()
-        shorts = dict(self._shorts_ewma)
+                line_sum[idx] += samples[-1][1]
+        shorts = self._shorts_ewma
+        for idx, sketch in enumerate(self._sketches):
+            total = epoch_bytes[idx] * 8 * US_PER_S / interval
+            agg = shorts[idx]
+            residue = max(0.0, total - line_sum[idx])
+            shorts[idx] = residue if agg == 0.0 else (1 - alpha) * agg + alpha * residue
+            sketch.clear()
+        abc_short, legacy_short = shorts
         if capacity <= 0 or (not any(d > 0 for d in demands)
-                             and not any(shorts.values())):
+                             and not (abc_short or legacy_short)):
             return
         # Short transfers want exactly what they already get, so they are
         # carved out first; the long flows' padded demands then share what
         # remains max-min fairly.
-        agg = shorts[ABC_QUEUE] + shorts[LEGACY_QUEUE]
+        agg = abc_short + legacy_short
         if agg > capacity:
-            scale = capacity / agg
-            shorts = {t: s * scale for t, s in shorts.items()}
+            abc_short *= capacity / agg
             agg = capacity
         alloc = water_fill(demands, capacity - agg)
         total = sum(alloc) + agg
-        abc_share = shorts[ABC_QUEUE] + sum(
-            a for a, o in zip(alloc, owners) if o == ABC_QUEUE)
+        abc_share = abc_short + sum(a for a, o in zip(alloc, owners) if o == 0)
         if total > 0:
             # Normalizing by the allocated total (not raw capacity) keeps
             # the weights summing to 1 when demand leaves the link

@@ -194,11 +194,11 @@ class SpecRouter:
         self.params = hop.abc_params
         self.buffer_pkts = hop.buffer_pkts
         self.fixed_fraction = hop.fixed_fraction
-        self.capacity = OracleRateView(hop.link, hop.oracle_window_us)
+        self.capacity = OracleRateView(hop.link, hop.abc_params.rate_window_us)
         self.queues = (deque(), deque())
         self.deficit = [0.0, 0.0]
         self.turn, self.fresh_visit = ABC, True
-        self.weight_abc = hop.initial_weight
+        self.weight_abc = 1.0
         self.token = 0.0
         self.rate_window = deque()
         self.log_rows = log_rows
@@ -207,7 +207,7 @@ class SpecRouter:
         self.epoch_bytes = [0, 0]
         self.history, self.epoch, self.shorts = {}, 0, [0.0, 0.0]
         self.last_update = 0
-        self.weight_log = [(0, hop.initial_weight)]
+        self.weight_log = [(0, 1.0)]
 
     def backlog(self):
         return len(self.queues[ABC]) + len(self.queues[LEGACY])

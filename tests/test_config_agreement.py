@@ -41,9 +41,8 @@ ABC_KEYS = {
 }
 HOP_KEYS = {
     "kind": ("kind", str), "buffer_pkts": ("buffer_pkts", int),
-    "oracle_window_ms": ("oracle_window_us", _ms),
     "ecn_threshold_pkts": ("ecn_threshold_pkts", int),
-    "delay_to_next_ms": ("delay_to_next_us", _ms), "initial_weight": ("initial_weight", float),
+    "delay_to_next_ms": ("delay_to_next_us", _ms),
 }
 DELAY_KEYS = {
     "forward_delay_ms": ("fwd_delay_us", _ms), "reverse_delay_ms": ("rev_delay_us", _ms),
@@ -127,8 +126,7 @@ def scenario_dicts(draw):
     def hop(i):
         kind = pick(["abc", "droptail"], ["red"])
         spec = {"id": f"h{i}", "kind": kind, "link": link(),
-                **some(buffer_pkts=count, abc_params=abc, oracle_window_ms=num,
-                       delay_to_next_ms=num, initial_weight=frac)}
+                **some(buffer_pkts=count, abc_params=abc, delay_to_next_ms=num)}
         if kind == "droptail" or pick([False], [True]):
             spec.update(some(ecn_threshold_pkts=count))
         return spec

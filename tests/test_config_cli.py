@@ -129,10 +129,6 @@ def test_short_flow_section():
         (lambda d: d["hops"][0].update(ecn_threshold_pkts=5),
          "ecn_threshold_pkts: only valid on droptail"),
         (lambda d: d["flows"][0].update(stop_s=0.0), "stop_s: must be after start_s"),
-        (lambda d: d["hops"][0].update(initial_weight=5.0),
-         "scenario.hops[0].initial_weight: must be <= 1"),
-        (lambda d: d["hops"][0].update(initial_weight=-0.5),
-         "scenario.hops[0].initial_weight: must be >= 0"),
         (lambda d: d["flows"][0].update(initial_window=0.5), "must be >= 1"),
         (lambda d: d["flows"][0].update(additive_increase=3), "expected true/false"),
         (lambda d: d["hops"][0]["link"].update(type="wormhole"), "expected one of"),
@@ -179,8 +175,8 @@ def test_malformed_scenarios_name_the_key(mutate, fragment):
      "scenario.abc_params: weight_interval_ms must be > 0, got 0"),
     (lambda d: d["hops"][0].update(abc_params={"sketch_size": 0}),
      "scenario.hops[0].abc_params: sketch_size must be >= 1, got 0"),
-    (lambda d: d["hops"][0].update(oracle_window_ms=0.0004),
-     "scenario.hops[0].oracle_window_ms: must be > 0, got 0"),
+    (lambda d: d["hops"][0].update(abc_params={"rate_window_ms": 0.0004}),
+     "scenario.hops[0].abc_params: rate_window_ms must be > 0, got 0"),
     (lambda d: d["hops"][0].update(kind="red"), "scenario.hops[0].kind: unknown kind"),
     (lambda d: d.update(hops=d["hops"] * 2), "scenario: duplicate hop id"),
     (lambda d: d.update(seed=-1), "scenario.seed: must be >= 0, got -1"),
@@ -230,10 +226,22 @@ def test_spec_rules_name_the_yaml_key(mutate, message):
 
 def test_values_round_to_microseconds_before_checks():
     data = _scenario(duration_s=0.0005)
-    data["hops"][0]["oracle_window_ms"] = 0.0006
+    data["hops"][0]["abc_params"] = {"rate_window_ms": 0.0006}
     cfg = parse_scenario(data)
     assert cfg.duration_us == 500
-    assert cfg.topology.hops[0].oracle_window_us == 1
+    assert cfg.topology.hops[0].abc_params.rate_window_us == 1
+
+
+# The capacity oracle averages over abc_params.rate_window_ms, and the ABC
+# queue's weight starts at 1.0: neither is a hop key of its own.
+@pytest.mark.parametrize("key, value", [("oracle_window_ms", 20), ("initial_weight", 0.5)])
+def test_removed_hop_keys_are_unknown(tmp_path, capsys, key, value):
+    data = _scenario()
+    data["hops"][0][key] = value
+    assert main(["validate", "--config", _write_scenario(tmp_path, data)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"error: scenario.hops[0].{key}: unknown key\n"
+    assert captured.out == ""
 
 
 def test_null_keys_keep_their_defaults():
@@ -576,6 +584,24 @@ def test_cli_unwritable_existing_directory_exits_2(quick_scenario, tmp_path, cap
 def test_cli_run_rejects_bad_seed_list(quick_scenario, capsys):
     assert main(["run", "--config", quick_scenario, "--seeds", "1,x"]) == 2
     assert "--seeds" in capsys.readouterr().err
+
+
+def test_cli_run_rejects_a_repeated_seed(quick_scenario, tmp_path, capsys, no_simulation):
+    # Two runs of seed 1 would write one seed_1 directory at once.
+    out_dir = tmp_path / "sweep"
+    assert main(["run", "--config", quick_scenario, "--seeds", "1,2,1",
+                 "--out", str(out_dir)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == "error: --seeds repeats seed 1\n"
+    assert captured.out == ""
+    assert not out_dir.exists()
+
+
+def test_cli_run_seed_and_seeds_are_exclusive(quick_scenario, capsys, no_simulation):
+    with pytest.raises(SystemExit) as exit_:
+        main(["run", "--config", quick_scenario, "--seed", "3", "--seeds", "1,2"])
+    assert exit_.value.code == 2
+    assert "argument --seeds: not allowed with argument --seed" in capsys.readouterr().err
 
 
 def test_cli_fluid_reports_fixed_point(tmp_path, capsys):

@@ -376,11 +376,46 @@ def _live_packets(sim):
         queues = router._queues if hasattr(router, "_queues") else (router._queue,)
         live.update(pkt.flow_id for q in queues for pkt, _ in q)
     for _, _, handler, args in sim._heap:
-        if handler == sim._on_send:  # a send burst: a list of packets
-            live.update(pkt.flow_id for pkt in args[0])
-        elif handler == sim._on_arrive or handler == sim._on_deliver:
-            live[args[-1].flow_id] += 1
+        if handler == sim._on_arrive:  # a send burst, or a forwarded 1-tuple
+            live.update(pkt.flow_id for pkt in args[1])
+        elif handler == sim._on_deliver:
+            live[args[0].flow_id] += 1
     return live
+
+
+def _assert_live_census(sim):
+    c = sim.census()
+    assert c["sent"] == c["delivered"] + c["dropped"] + c["queued"] + c["in_flight"]
+    moving = c["queued"] + c["in_flight"]
+    assert moving == sum(_live_packets(sim).values())
+    assert moving == sum(rt.live for rt in sim.flows.values())
+
+
+@settings(max_examples=50, deadline=None)
+@given(topo=random_topologies(), seed=st.integers(0, 3),
+       duration_us=st.integers(1, 1_000_000))
+def test_census_counts_every_arrival_at_random_horizons(topo, seed, duration_us):
+    # A run cut at its horizon leaves packets queued and in the heap: send
+    # bursts bound for hop 0 and packets forwarded to later hops.
+    sim = Simulation(topo, duration_us, seed=seed)
+    sim.run()
+    _assert_live_census(sim)
+
+
+@pytest.mark.parametrize("duration_us", [400_000, 777_777, 1_500_000])
+def test_census_counts_bursts_and_forwarded_packets(duration_us):
+    # serial_bottlenecks is cut with both kinds of arrival in the heap, and
+    # with bursts of more than one packet.
+    cfg = load_scenario(str(SCENARIO_DIR / "serial_bottlenecks.yaml"))
+    sim = Simulation(cfg.topology, duration_us, seed=cfg.seed,
+                     receiver_coalesce=cfg.receiver_coalesce)
+    sim.run()
+    # (hop index, packet count) of every arrival in the heap.
+    arrivals = [(args[0], len(args[1])) for _, _, handler, args in sim._heap
+                if handler == sim._on_arrive]
+    assert max(n for hop, n in arrivals if hop == 0) > 1, arrivals
+    assert {n for hop, n in arrivals if hop > 0} == {1}, arrivals
+    _assert_live_census(sim)
 
 
 @settings(max_examples=100, deadline=None)

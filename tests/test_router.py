@@ -161,8 +161,9 @@ def _legacy(fid="l", seq=0):
 
 def _dual(buffer_pkts, weight_abc=1.0):
     """A router whose queues tests fill directly: flow "a" is ABC, "l" legacy."""
-    return AbcRouter("r", AbcParams(), _FixedCapacity(24e6), buffer_pkts=buffer_pkts,
-                     initial_weight=weight_abc)
+    r = AbcRouter("r", AbcParams(), _FixedCapacity(24e6), buffer_pkts=buffer_pkts)
+    r.weight_abc = weight_abc
+    return r
 
 
 class TestDualQueue:
@@ -305,11 +306,6 @@ class TestAbcRouter:
         with pytest.raises(ValueError):
             AbcRouter("r", AbcParams(), _FixedCapacity(1e6), fixed_fraction=1.5)
 
-    @pytest.mark.parametrize("weight", [-0.1, 1.5, 5.0])
-    def test_rejects_initial_weight_outside_unit_interval(self, weight):
-        with pytest.raises(ValueError, match="initial weight"):
-            AbcRouter("r", AbcParams(), _FixedCapacity(1e6), initial_weight=weight)
-
     def test_fixed_fraction_meters_marks(self):
         r = AbcRouter("r", AbcParams(), _FixedCapacity(24e6), fixed_fraction=0.5)
         for i in range(20):
@@ -330,8 +326,7 @@ class TestAbcRouter:
         assert tags == {ABC_QUEUE, LEGACY_QUEUE}
 
     def test_symmetric_load_converges_to_even_split(self):
-        r = AbcRouter("r", AbcParams(), _FixedCapacity(40e6), buffer_pkts=500,
-                      initial_weight=1.0)
+        r = AbcRouter("r", AbcParams(), _FixedCapacity(40e6), buffer_pkts=500)
         counts = {(ABC_QUEUE, "a0"): 20, (LEGACY_QUEUE, "l0"): 20}
         w1 = _drive_epoch(r, counts, 0)
         w2 = _drive_epoch(r, counts, 100_000)
@@ -352,10 +347,12 @@ class TestAbcRouter:
         assert w2 == pytest.approx((3.6e6 + 0.25e6) / 5e6)
 
     def test_weight_update_needs_elapsed_time(self):
-        r = AbcRouter("r", AbcParams(), _FixedCapacity(5e6), initial_weight=0.7)
+        r = AbcRouter("r", AbcParams(), _FixedCapacity(5e6))
+        r.weight_abc = 0.7
         assert r.update_weights(0) == 0.7
         assert r.weight_abc == 0.7
 
     def test_idle_interval_keeps_weight(self):
-        r = AbcRouter("r", AbcParams(), _FixedCapacity(5e6), initial_weight=0.6)
+        r = AbcRouter("r", AbcParams(), _FixedCapacity(5e6))
+        r.weight_abc = 0.6
         assert r.update_weights(100_000) == 0.6
