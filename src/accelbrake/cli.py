@@ -31,19 +31,14 @@ def _build_parser() -> argparse.ArgumentParser:
     run = sub.add_parser("run", help="simulate a YAML scenario")
     run.add_argument("--config", required=True, help="scenario file")
     run.add_argument("--out", help="directory for summary and per-flow/per-hop CSVs")
-    seed = run.add_mutually_exclusive_group()
-    seed.add_argument("--seed", type=int, help="override the scenario seed")
-    seed.add_argument("--seeds", help="comma-separated seed sweep, e.g. 1,2,3")
+    run.add_argument("--seeds", "--seed",
+                     help="override the scenario seed, or sweep a list such as 1,2,3")
     run.add_argument("--duration", type=float, help="override duration (seconds)")
     run.add_argument("--jobs", type=int, default=0,
                      help="worker processes for a seed sweep (default: one per seed)")
-    run.add_argument("--validate-only", action="store_true",
-                     help="parse and validate the scenario, then exit")
 
-    # ``validate`` is ``run --validate-only`` under its own name.
     val = sub.add_parser("validate", help="check a scenario file without running it")
     val.add_argument("--config", required=True)
-    val.set_defaults(validate_only=True)
 
     fluid = sub.add_parser("fluid", help="integrate the aggregate queue-delay model")
     fluid.add_argument("--rate-mbps", type=float, default=12.0)
@@ -52,7 +47,6 @@ def _build_parser() -> argparse.ArgumentParser:
     fluid.add_argument("--eta", type=float, default=0.98)
     fluid.add_argument("--delta-ms", type=float, default=133.0)
     fluid.add_argument("--target-delay-ms", type=float, default=50.0)
-    fluid.add_argument("--ai-interval-ms", type=float, default=100.0)
     fluid.add_argument("--horizon-s", type=float, default=20.0)
     fluid.add_argument("--step-ms", type=float, help="integration step (default rtt/100)")
     fluid.add_argument("--initial-delay-ms", type=float, default=0.0,
@@ -169,12 +163,12 @@ def _cmd_run(args) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     out = _Stdout()
-    if args.validate_only:
+    if args.command == "validate":
         out(_describe(cfg, args.config))
         return out.status
 
-    seeds = [cfg.seed if args.seed is None else args.seed]
-    if args.seeds:
+    seeds = [cfg.seed]
+    if args.seeds is not None:
         try:
             seeds = [int(s) for s in args.seeds.split(",") if s.strip()]
         except ValueError:
@@ -247,8 +241,7 @@ def _cmd_fluid(args) -> int:
         params = FluidParams(eta=args.eta, delta_s=args.delta_ms / 1000,
                              target_delay_s=args.target_delay_ms / 1000,
                              n_flows=args.flows, mu_bps=args.rate_mbps * 1e6,
-                             tau_s=args.rtt_ms / 1000,
-                             ai_interval_s=args.ai_interval_ms / 1000)
+                             tau_s=args.rtt_ms / 1000, ai_interval_s=args.rtt_ms / 1000)
         step = None if args.step_ms is None else args.step_ms / 1000
         t, x = integrate(params, args.initial_delay_ms / 1000, args.horizon_s, step)
     except ValueError as exc:

@@ -108,7 +108,6 @@ class Ack:
     bytes_newly_acked: int
     echo_mark: EcnCodepoint
     ece: bool = False
-    recv_time: SimTime = 0
 
 
 def mtu_transmit_us(rate_bps: float) -> int:

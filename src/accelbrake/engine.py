@@ -412,12 +412,16 @@ class Simulation:
         runtime = self.flows[pkt.flow_id]
         runtime.live -= 1
         echo = runtime.echo
-        acks = echo.on_packet(pkt, now)
+        acks = echo.on_packet(pkt)
         if acks:
             runtime.delack_epoch += 1
             heappush(self._heap, (now + runtime.rev_delay_us, next(self._counter),
                                   self._on_ack, (runtime, acks)))
-        elif echo.pending_count > 0:
+        elif echo.pending_count == 1:
+            # One timer per pending run, armed by its first packet.  A later
+            # packet's timer would fire after this one, which by then has
+            # flushed the run or found it ended by an ACK: either way the
+            # epoch has moved on, so that timer could only fire stale.
             heappush(self._heap, (now + DELACK_TIMEOUT_US, next(self._counter),
                                   self._on_delack, (runtime, runtime.delack_epoch)))
         if not runtime.live:
@@ -426,7 +430,7 @@ class Simulation:
     def _on_delack(self, runtime: _FlowRuntime, epoch: int) -> None:
         if runtime.delack_epoch != epoch:
             return
-        ack = runtime.echo.flush(self.now)
+        ack = runtime.echo.flush()
         if ack is not None:
             runtime.delack_epoch += 1
             heappush(self._heap, (self.now + runtime.rev_delay_us, next(self._counter),

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from typing import Optional
 
-from .core import ACCEL, BRAKE, ECN_SET, Ack, EcnCodepoint, Packet, SimTime
+from .core import ACCEL, BRAKE, ECN_SET, Ack, EcnCodepoint, Packet
 
 
 class EchoState:
@@ -37,7 +37,7 @@ class EchoState:
         self.highest_seq = -1
         self.ece_pending = False
 
-    def on_packet(self, pkt: Packet, now: SimTime) -> list[Ack]:
+    def on_packet(self, pkt: Packet) -> list[Ack]:
         """Absorb one delivered packet, returning any ACKs to emit now.
 
         A packet whose accel/brake mark differs from the current run's
@@ -55,7 +55,7 @@ class EchoState:
         if switched:
             if self.pending_count > 0:
                 acks.append(Ack(self.flow_id, self.highest_seq, self.pending_bytes,
-                                self.last_mark, self.ece_pending, now))
+                                self.last_mark, self.ece_pending))
                 self.pending_count = self.pending_bytes = 0
                 self.ece_pending = False
             self.last_mark = ecn
@@ -65,7 +65,7 @@ class EchoState:
             self.highest_seq = pkt.seq
         if switched or count >= self.coalesce:
             acks.append(Ack(self.flow_id, self.highest_seq, pending_bytes, self.last_mark,
-                            self.ece_pending, now))
+                            self.ece_pending))
             self.pending_count = self.pending_bytes = 0
             self.ece_pending = False
         else:
@@ -73,12 +73,12 @@ class EchoState:
             self.pending_bytes = pending_bytes
         return acks
 
-    def flush(self, now: SimTime) -> Optional[Ack]:
+    def flush(self) -> Optional[Ack]:
         """Emit whatever is pending (delayed-ACK timer expiry)."""
         if self.pending_count == 0:
             return None
         ack = Ack(self.flow_id, self.highest_seq, self.pending_bytes, self.last_mark,
-                  self.ece_pending, now)
+                  self.ece_pending)
         self.pending_count = 0
         self.pending_bytes = 0
         self.ece_pending = False

@@ -358,7 +358,7 @@ class EchoRun:
 
 
 def _ack(flow_id, run, now):
-    ack = Ack(flow_id, run.highest_seq, run.bytes, run.mark, run.ece, now)
+    ack = Ack(flow_id, run.highest_seq, run.bytes, run.mark, run.ece)
     run.count = run.bytes = 0
     run.ece = False
     return ack

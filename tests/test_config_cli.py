@@ -1,10 +1,12 @@
 """Scenario parsing and the command-line front end."""
 
+import argparse
 import collections
 import copy
 import glob
 import hashlib
 import os
+import re
 import subprocess
 import sys
 from concurrent.futures import Future
@@ -18,6 +20,7 @@ from accelbrake import cli, metrics
 from accelbrake.cli import main
 from accelbrake.config import ConfigError, load_scenario, parse_scenario
 from accelbrake.engine import Simulation
+from accelbrake.fluid import FluidParams
 from accelbrake.links import FixedLink, StepLink, TraceLink
 
 SCENARIO_DIR = os.path.join(os.path.dirname(__file__), "..", "scenarios")
@@ -340,20 +343,27 @@ def test_cli_run_reads_the_file_once(quick_scenario, monkeypatch, capsys):
     assert "seed 3:" in capsys.readouterr().out
 
 
-def test_cli_run_validate_only(quick_scenario, capsys):
-    assert main(["run", "--config", quick_scenario, "--validate-only"]) == 0
-    assert "ok" in capsys.readouterr().out
+def test_cli_run_has_no_validate_only():
+    # `validate` is the one way to check a scenario without running it.
+    proc = subprocess.run([sys.executable, "-m", "accelbrake.cli", "run", "--config", "x.yaml",
+                           "--validate-only"],
+                          capture_output=True, env=_cli_env(), text=True, timeout=120)
+    assert proc.returncode == 2
+    assert proc.stderr.endswith("error: unrecognized arguments: --validate-only\n")
+    assert "Traceback" not in proc.stderr
 
 
-@pytest.mark.parametrize("data", [MINIMAL, _scenario(duration_s="ten"), None])
-def test_cli_validate_is_run_validate_only(tmp_path, capsys, data):
+@pytest.mark.parametrize("data, code, out, err", [
+    (MINIMAL, 0, "{path}: ok\n  duration 1s, seed 0\n  hop btl: abc, buffer 250 pkts\n"
+                 "  flow f0: abc, base rtt 50ms\n", ""),
+    (_scenario(duration_s="ten"), 2, "",
+     "error: scenario.duration_s: expected a number, got string\n"),
+    (None, 2, "", "error: cannot read {path}: [Errno 2] No such file or directory: '{path}'\n"),
+])
+def test_cli_validate_prints_digest_or_error(tmp_path, capsys, data, code, out, err):
     path = str(tmp_path / "missing.yaml") if data is None else _write_scenario(tmp_path, data)
-    results = []
-    for argv in (["validate", "--config", path], ["run", "--config", path, "--validate-only"]):
-        code = main(argv)
-        results.append((code, *capsys.readouterr()))
-    assert results[0] == results[1]
-    assert results[0][0] == (0 if data is MINIMAL else 2)
+    assert main(["validate", "--config", path]) == code
+    assert capsys.readouterr() == (out.format(path=path), err.format(path=path))
 
 
 @pytest.mark.parametrize("args, message", [
@@ -597,11 +607,76 @@ def test_cli_run_rejects_a_repeated_seed(quick_scenario, tmp_path, capsys, no_si
     assert not out_dir.exists()
 
 
-def test_cli_run_seed_and_seeds_are_exclusive(quick_scenario, capsys, no_simulation):
-    with pytest.raises(SystemExit) as exit_:
-        main(["run", "--config", quick_scenario, "--seed", "3", "--seeds", "1,2"])
-    assert exit_.value.code == 2
-    assert "argument --seeds: not allowed with argument --seed" in capsys.readouterr().err
+@pytest.mark.parametrize("seed, message", [
+    ("x", "error: --seeds must be integers, got 'x'\n"),
+    ("", "error: --seeds is empty\n"),
+])
+def test_cli_run_rejects_a_bad_seed(quick_scenario, capsys, no_simulation, seed, message):
+    assert main(["run", "--config", quick_scenario, "--seed", seed]) == 2
+    assert capsys.readouterr() == ("", message)
+
+
+def _tree(root):
+    """Every file under ``root``, by relative path, with its bytes."""
+    return {str(p.relative_to(root)): p.read_bytes() for p in sorted(root.rglob("*"))
+            if p.is_file()}
+
+
+def test_cli_run_seed_is_a_second_spelling_of_seeds(quick_scenario, tmp_path, capsys):
+    # One seed runs into --out itself, whichever spelling names it.
+    outputs = []
+    for flag in ("--seed", "--seeds"):
+        assert main(["run", "--config", quick_scenario, flag, "2",
+                     "--out", str(tmp_path / flag)]) == 0
+        outputs.append(capsys.readouterr().out)
+    assert outputs[0] == outputs[1] and outputs[0].startswith("seed 2:")
+    assert (tmp_path / "--seed" / "summary.txt").exists()
+    assert _tree(tmp_path / "--seed") == _tree(tmp_path / "--seeds")
+
+
+@pytest.mark.parametrize("args, seeds", [
+    (["--seed", "3", "--seeds", "1,2"], [1, 2]),
+    (["--seeds", "1,2", "--seed", "3"], [3]),
+])
+def test_cli_run_last_seed_option_wins(quick_scenario, capsys, args, seeds):
+    assert main(["run", "--config", quick_scenario, *args, "--duration", "0.1",
+                 "--jobs", "1"]) == 0
+    out = capsys.readouterr().out
+    assert [int(line.split()[1][:-1]) for line in out.splitlines()
+            if line.startswith("seed ")] == seeds
+
+
+ROOT = Path(__file__).resolve().parent.parent
+REMOVED_OPTIONS = ("--validate-only", "--ai-interval-ms")
+
+
+def _subcommands():
+    """Each subcommand's parser, by name."""
+    (action,) = [a for a in cli._build_parser()._actions
+                 if isinstance(a, argparse._SubParsersAction)]
+    return action.choices
+
+
+def test_readme_documents_every_option():
+    readme = (ROOT / "README.md").read_text()
+    sections = dict(re.findall(r"^### `accelbrake ([\w-]+)`\n(.*?)(?=^##)", readme, re.M | re.S))
+    for name, parser in _subcommands().items():
+        options = {s for a in parser._actions for s in a.option_strings
+                   if s.startswith("--") and s != "--help"}
+        # "--seed" must not count as found inside "--seeds".
+        missing = sorted(o for o in options
+                         if not re.search(re.escape(o) + r"(?![\w-])", sections[name]))
+        assert not missing, (name, missing)
+
+
+def test_removed_options_stay_removed():
+    for parser in _subcommands().values():
+        assert not any(s in REMOVED_OPTIONS for a in parser._actions for s in a.option_strings)
+    assert not any(o in (ROOT / "README.md").read_text() for o in REMOVED_OPTIONS)
+    # CI names one only to check that it is refused.
+    for line in (ROOT / ".github" / "workflows" / "tier1.yml").read_text().splitlines():
+        if any(o in line for o in REMOVED_OPTIONS):
+            assert "|| rc=$?" in line, line
 
 
 def test_cli_fluid_reports_fixed_point(tmp_path, capsys):
@@ -614,6 +689,15 @@ def test_cli_fluid_reports_fixed_point(tmp_path, capsys):
     lines = out.read_text().splitlines()
     assert lines[0] == "t_s,queue_delay_s"
     assert len(lines) > 1_000
+
+
+def test_cli_fluid_adds_one_packet_per_rtt(capsys):
+    # As in the paper, each flow's window gains one packet per round trip.
+    assert main(["fluid", "--rate-mbps", "24", "--flows", "16", "--rtt-ms", "50",
+                 "--horizon-s", "1"]) == 0
+    drift = FluidParams(n_flows=16, mu_bps=24e6, tau_s=0.05, ai_interval_s=0.05).drift
+    assert f"{drift:+.4f}" == "+0.1400"
+    assert capsys.readouterr().out.startswith(f"drift {drift:+.4f} pkts/rtt per rtt,")
 
 
 def test_cli_fluid_rejects_coarse_step(capsys):

@@ -402,6 +402,24 @@ def test_census_counts_every_arrival_at_random_horizons(topo, seed, duration_us)
     _assert_live_census(sim)
 
 
+@settings(max_examples=50, deadline=None)
+@given(topo=random_topologies(), seed=st.integers(0, 3), coalesce=st.sampled_from([3, 4]),
+       duration_us=st.integers(1, 1_000_000))
+def test_one_live_delayed_ack_timer_per_pending_run(topo, seed, coalesce, duration_us):
+    # Only the first packet of a pending run arms the delayed-ACK timer: at
+    # any cut, a flow has one current-epoch timer while packets are pending
+    # and none otherwise.  Retired shorts are found through the heap.
+    sim = Simulation(topo, duration_us, seed=seed, receiver_coalesce=coalesce)
+    sim.run()
+    timers = Counter(id(args[0]) for _, _, handler, args in sim._heap
+                     if handler == sim._on_delack and args[1] == args[0].delack_epoch)
+    runtimes = {id(rt): rt for rt in sim.flows.values()}
+    runtimes.update((id(args[0]), args[0]) for _, _, handler, args in sim._heap
+                    if handler == sim._on_delack)
+    for key, runtime in runtimes.items():
+        assert timers[key] == (runtime.echo.pending_count > 0), runtime.sender.flow_id
+
+
 @pytest.mark.parametrize("duration_us", [400_000, 777_777, 1_500_000])
 def test_census_counts_bursts_and_forwarded_packets(duration_us):
     # serial_bottlenecks is cut with both kinds of arrival in the heap, and

@@ -17,26 +17,25 @@ def test_rejects_bad_coalesce():
 
 def test_coalesces_two_packets_per_ack():
     rx = EchoState("f", coalesce=2)
-    assert rx.on_packet(_pkt(0), 100) == []
-    (ack,) = rx.on_packet(_pkt(1), 200)
+    assert rx.on_packet(_pkt(0)) == []
+    (ack,) = rx.on_packet(_pkt(1))
     assert ack.acked_seq == 1
     assert ack.bytes_newly_acked == 3000
     assert ack.echo_mark is EcnCodepoint.ACCEL
-    assert ack.recv_time == 200
 
 
 def test_coalesce_one_acks_every_packet():
     rx = EchoState("f", coalesce=1)
     for seq in range(3):
-        acks = rx.on_packet(_pkt(seq), 100)
+        acks = rx.on_packet(_pkt(seq))
         assert len(acks) == 1 and acks[0].acked_seq == seq
 
 
 def test_mark_change_splits_byte_attribution():
     rx = EchoState("f", coalesce=4)
-    rx.on_packet(_pkt(0), 100)
-    rx.on_packet(_pkt(1), 150)
-    first, second = rx.on_packet(_pkt(2, EcnCodepoint.BRAKE), 200)
+    rx.on_packet(_pkt(0))
+    rx.on_packet(_pkt(1))
+    first, second = rx.on_packet(_pkt(2, EcnCodepoint.BRAKE))
     # The old run is acknowledged under its own mark...
     assert first.echo_mark is EcnCodepoint.ACCEL
     assert first.acked_seq == 1
@@ -49,45 +48,44 @@ def test_mark_change_splits_byte_attribution():
 
 def test_mark_change_with_empty_run_emits_single_ack():
     rx = EchoState("f", coalesce=2)
-    (ack,) = rx.on_packet(_pkt(0, EcnCodepoint.BRAKE), 100)
+    (ack,) = rx.on_packet(_pkt(0, EcnCodepoint.BRAKE))
     assert ack.echo_mark is EcnCodepoint.BRAKE
     assert ack.bytes_newly_acked == 1500
 
 
 def test_legacy_marks_do_not_disturb_the_run():
     rx = EchoState("f", coalesce=3)
-    rx.on_packet(_pkt(0), 100)
+    rx.on_packet(_pkt(0))
     # A non-ABC codepoint neither flushes nor switches the run.
-    assert rx.on_packet(_pkt(1, EcnCodepoint.NOT_ECT), 150) == []
-    (ack,) = rx.on_packet(_pkt(2), 200)
+    assert rx.on_packet(_pkt(1, EcnCodepoint.NOT_ECT)) == []
+    (ack,) = rx.on_packet(_pkt(2))
     assert ack.echo_mark is EcnCodepoint.ACCEL
     assert ack.bytes_newly_acked == 4500
 
 
 def test_congestion_flag_rides_next_ack_once():
     rx = EchoState("f", coalesce=2)
-    rx.on_packet(_pkt(0, EcnCodepoint.ECN_SET), 100)
-    (ack,) = rx.on_packet(_pkt(1), 150)
+    rx.on_packet(_pkt(0, EcnCodepoint.ECN_SET))
+    (ack,) = rx.on_packet(_pkt(1))
     assert ack.ece
-    rx.on_packet(_pkt(2), 200)
-    (ack2,) = rx.on_packet(_pkt(3), 250)
+    rx.on_packet(_pkt(2))
+    (ack2,) = rx.on_packet(_pkt(3))
     assert not ack2.ece
 
 
 def test_flush_drains_pending_and_goes_idle():
     rx = EchoState("f", coalesce=2)
-    rx.on_packet(_pkt(0), 100)
-    ack = rx.flush(500)
+    rx.on_packet(_pkt(0))
+    ack = rx.flush()
     assert ack is not None
     assert ack.acked_seq == 0
-    assert ack.recv_time == 500
-    assert rx.flush(600) is None
+    assert rx.flush() is None
 
 
 def test_reordered_arrival_keeps_highest_sequence():
     rx = EchoState("f", coalesce=2)
-    rx.on_packet(_pkt(5), 100)
-    (ack,) = rx.on_packet(_pkt(3), 150)
+    rx.on_packet(_pkt(5))
+    (ack,) = rx.on_packet(_pkt(3))
     assert ack.acked_seq == 5
     assert ack.bytes_newly_acked == 3000
 
@@ -98,7 +96,7 @@ def test_byte_accounting_totals():
     rx = EchoState("f", coalesce=2)
     acks = []
     for seq in range(5):
-        acks += rx.on_packet(_pkt(seq), 100 + seq)
-    acks.append(rx.flush(200))
+        acks += rx.on_packet(_pkt(seq))
+    acks.append(rx.flush())
     assert sum(a.bytes_newly_acked for a in acks) == 7500
-    assert rx.flush(300) is None
+    assert rx.flush() is None
